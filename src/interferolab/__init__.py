@@ -15,7 +15,6 @@ from .fock import (
     FockVector,
     KrausChannel,
     PermutationUnitary,
-    PhaseShift,
     apply_channel,
     apply_phase,
     binomial,
@@ -49,13 +48,11 @@ from .estimation import (
     Baselines,
     MmErrorTerms,
     OutcomeDistribution,
-    average_over_phase,
     baselines,
     circular_distance,
     circular_rms,
     circular_rms_about_mean,
     holevo_variance,
-    minimize_over_phase,
     mm_error_terms,
     mm_observable,
     mm_phase_error,

@@ -37,7 +37,6 @@ _SCALAR_KEYS = {
     "n": ("fixed_n", float),
     "m-prime": ("mm_m_prime", int),
     "phi-grid": ("phi_grid_points", int),
-    "rounds": ("rounds", int),
     "external": ("external_comparison_file", str),
     "out": ("output_path", str),
 }
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-prime", type=int, default=None,
                    help="lower Fock component for the mm family (top index is 2n - m_prime)")
     p.add_argument("--phi-grid", type=int, default=None, help="phase-grid points per period")
-    p.add_argument("--rounds", type=int, default=None, help="round trips before measurement")
     p.add_argument("--validate", action="store_true", default=False,
                    help="cross-check closed forms against the brute-force channel first")
     p.add_argument("--external", default=None, help="two-column CSV merged into the external column")
@@ -152,8 +150,6 @@ def resolve_config(args) -> tuple:
         else:
             merged[attr] = val
     emit_plot = bool(merged.pop("emit_plot", False))
-    if merged.get("state_family") == "noon-baseline":
-        merged["state_family"] = "noon"
 
     cfg = SweepConfig()
     names = {f.name for f in fields(SweepConfig)}

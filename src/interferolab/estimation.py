@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityMatrix, apply_channel, expectation
-from .protocol import MmOutputCoefficients, _sine_weight_batches, mm_output_coefficients
+from .protocol import mm_output_coefficients, optimal_state_output
 from .states import (
     MmStateSpec,
     noon_state,
@@ -86,21 +86,9 @@ def povm_distribution(rho: DensityMatrix, m: int, true_phi: float = 0.0) -> Outc
 
 
 def optimal_outcome_distribution(m: int, eta: float, phi: float) -> OutcomeDistribution:
-    """Closed-form outcome distribution for the sine-state round trip.
-
-    Equals ``povm_distribution(optimal_state_output(m, eta, phi), m)``;
-    evaluated directly from the loss-weight sums without building the
-    density matrix.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d = m + 1
-    prefs, weights = _sine_weight_batches(m, eta)
-    phases = phi + 2.0 * np.pi * np.arange(d) / d
-    kernel = np.exp(-1j * np.outer(np.arange(d), phases))  # (n, l)
-    amp = weights @ kernel  # (batch, l)
-    probs = (2.0 / d**2) * (prefs @ (amp.real**2 + amp.imag**2))
-    return OutcomeDistribution(m, probs, phi)
+    """Outcome distribution of the sine-state round trip at phase phi:
+    the closed-form output projected onto the discrete phase states."""
+    return povm_distribution(optimal_state_output(m, eta, phi, check=False), m, phi)
 
 
 def circular_distance(a, b):
@@ -263,22 +251,6 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720, refine_
         phi_star, best = float(xs[k]), float(vals[k])
     avg = float(vals[finite].mean())
     return float(phi_star), float(best), avg, int(np.count_nonzero(~finite))
-
-
-def minimize_over_phase(error_fn, period: float, grid_points: int = 720, refine_tol: float = 1e-6):
-    """Grid scan plus golden-section refinement; returns (phi_star, minimum)."""
-    phi_star, best, _, _ = phase_error_summary(error_fn, period, grid_points, refine_tol)
-    return phi_star, best
-
-
-def average_over_phase(error_fn, period: float, grid_points: int = 720):
-    """Mean over one period, skipping +inf sentinels; returns (mean, excluded)."""
-    step = period / grid_points
-    vals = np.array([float(error_fn(step * k)) for k in range(grid_points)])
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise ValueError("error function is non-finite over the whole phase grid")
-    return float(vals[finite].mean()), int(np.count_nonzero(~finite))
 
 
 @dataclass(frozen=True)

@@ -155,20 +155,6 @@ class KrausChannel:
                 raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
 
-@dataclass(frozen=True)
-class PhaseShift:
-    """Phase accumulation exp(i*phi*n) on the photon-number basis."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError("phase must be finite")
-
-    def apply(self, state):
-        return apply_phase(state, self.phi)
-
-
 @dataclass(frozen=True, eq=False)
 class PermutationUnitary:
     """Fock-index reversal |n> -> |m-n> on indices 0..m, identity above."""

@@ -35,7 +35,7 @@ def _check_eta(eta: float) -> None:
 
 @dataclass(frozen=True)
 class RoundTripConfig:
-    """One pass configuration: phases, per-arm transmissivities, repetitions.
+    """One pass configuration: phases and per-arm transmissivities.
 
     ``m`` is the largest Fock index the permutation acts on and must be at
     least the top occupied index of the input state.
@@ -46,7 +46,6 @@ class RoundTripConfig:
     eta1: float
     eta2: float
     m: int
-    rounds: int = 1
 
     def __post_init__(self):
         for name in ("phi", "theta"):
@@ -56,8 +55,6 @@ class RoundTripConfig:
         _check_eta(self.eta2)
         if self.m < 0:
             raise ValueError("m must be non-negative")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
 
 
 def roundtrip_step(rho: DensityMatrix, cfg: RoundTripConfig) -> DensityMatrix:
@@ -75,16 +72,14 @@ def roundtrip_step(rho: DensityMatrix, cfg: RoundTripConfig) -> DensityMatrix:
 
 
 def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
-    """Brute-force protocol output after ``cfg.rounds`` round trips.
+    """Brute-force protocol output after one round trip.
 
     No closed forms anywhere: the input projector is pushed through
     phase, loss and permutation operations term by term.
     """
     if state.dim != cfg.m + 1:
         raise ValueError(f"input dimension {state.dim} != m+1 = {cfg.m + 1}")
-    rho = state.to_density()
-    for _ in range(cfg.rounds):
-        rho = roundtrip_step(rho, cfg)
+    rho = roundtrip_step(state.to_density(), cfg)
     return DensityMatrix(rho.mat, check=True)
 
 

@@ -23,23 +23,12 @@ import numpy as np
 from .estimation import (
     _propagated_error,
     baselines,
-    circular_rms,
     holevo_variance,
-    mm_observable,
+    mm_error_terms,
     phase_error_summary,
-    povm_distribution,
 )
-from .fock import expectation
-from .protocol import (
-    RoundTripConfig,
-    ValidationReport,
-    mm_output_coefficients,
-    mm_state_output,
-    optimal_state_output,
-    roundtrip_step,
-    validate_closed_forms,
-)
-from .states import MmStateSpec, optimal_phase_state
+from .protocol import ValidationReport, optimal_state_output, validate_closed_forms
+from .states import MmStateSpec
 
 CSV_HEADER = "sweep,min_rms,argmin_phi,avg_rms,holevo,mm_error,shot_noise,heisenberg,noon,external"
 
@@ -76,7 +65,6 @@ class SweepConfig:
     eta_range: tuple = (0.5, 1.0, 0.025)
     mm_m_prime: int = 3
     phi_grid_points: int = 720
-    rounds: int = 1
     validate: bool = False
     external_comparison_file: str | None = None
     output_path: str = "sweep.csv"
@@ -94,13 +82,6 @@ class SweepConfig:
             raise UsageError("range max must be >= min")
         if self.phi_grid_points < 2:
             raise UsageError("phi grid needs at least 2 points")
-        if self.rounds < 1:
-            raise UsageError("rounds must be >= 1")
-        if fam in ("mm", "no") and self.rounds > 1:
-            raise UsageError(
-                "the hopping-observable estimator is derived for a single round "
-                "trip; rounds > 1 is only available for the optimal family"
-            )
         if self.mm_m_prime < 0:
             raise UsageError("m-prime must be >= 0")
         etas = self.values() if axis == "eta" else [self.fixed_eta]
@@ -232,24 +213,6 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int):
     return best, phi_star % TWO_PI, avg, holevo_variance(rho0), excl
 
 
-def _optimal_oracle_row(m: int, eta: float, grid_points: int, rounds: int):
-    """Same figures via explicit multi-round channel evolution (slow path)."""
-    state = optimal_phase_state(m)
-
-    def output(phi: float):
-        cfg = RoundTripConfig(phi, 0.0, eta, eta, m, rounds)
-        rho = state.to_density()
-        for _ in range(rounds):
-            rho = roundtrip_step(rho, cfg)
-        return rho
-
-    def rms_at(phi: float) -> float:
-        return circular_rms(povm_distribution(output(phi), m, true_phi=phi))
-
-    phi_star, best, avg, excl = phase_error_summary(rms_at, TWO_PI, grid_points)
-    return best, phi_star % TWO_PI, avg, holevo_variance(output(phi_star)), excl
-
-
 def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
     """Minimized propagated error for the two-component state.
 
@@ -257,14 +220,11 @@ def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
     independent, so they are computed once and only the trigonometric
     error-propagation formula is scanned over phi.
     """
-    sigma0 = mm_state_output(spec, eta, 0.0, check=False)
-    obs = mm_observable(spec.m, spec.m_prime, spec.m + 1)
-    mean_square = expectation(sigma0, obs @ obs)
-    coherence = float(mm_output_coefficients(spec, eta).coherence.sum())
+    terms = mm_error_terms(spec, eta, 0.0)
     period = TWO_PI / spec.delta
 
     def err_at(phi: float) -> float:
-        return _propagated_error(mean_square, coherence, spec.delta, phi)
+        return _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi)
 
     phi_star, best, _, excl = phase_error_summary(err_at, period, grid_points)
     return best, phi_star % period, excl
@@ -284,12 +244,7 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
     )
     m = cfg._top_index(n)
     if cfg.state_family == "optimal":
-        if cfg.rounds == 1:
-            best, phi_star, avg, holevo, excl = _optimal_fast_row(m, eta, cfg.phi_grid_points)
-        else:
-            best, phi_star, avg, holevo, excl = _optimal_oracle_row(
-                m, eta, cfg.phi_grid_points, cfg.rounds
-            )
+        best, phi_star, avg, holevo, excl = _optimal_fast_row(m, eta, cfg.phi_grid_points)
         point = replace(
             point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo, excluded=excl
         )

@@ -108,12 +108,28 @@ class TestConfigResolution:
         with pytest.raises(UsageError, match="key=value"):
             load_config_file(conf)
 
-    def test_noon_baseline_alias(self, tmp_path):
+    def test_noon_baseline_spelling_rejected(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("family=noon-baseline\n")
-        args = build_parser().parse_args(["--config", str(conf)])
-        cfg, _ = resolve_config(args)
-        assert cfg.state_family == "noon"
+        assert run(["--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "noon-baseline" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestSingleRoundOnly:
+    # two round trips cancel phi (see test_protocol), so there is no
+    # multi-round sweep to ask for
+    def test_rounds_flag_rejected(self, tmp_path, capsys):
+        assert run(["--rounds", "2", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "--rounds" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rounds_config_key_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("rounds=2\n")
+        assert run(["--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unknown key 'rounds'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPlotFlag:

@@ -1,21 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interferolab import (
     DensityMatrix,
     MmStateSpec,
     OutcomeDistribution,
     apply_phase,
-    average_over_phase,
     baselines,
     circular_distance,
     circular_rms,
     circular_rms_about_mean,
     expectation,
     holevo_variance,
-    minimize_over_phase,
     mm_error_terms,
     mm_observable,
     mm_phase_error,
@@ -26,6 +27,7 @@ from interferolab import (
     optimal_outcome_distribution,
     optimal_state_output,
     pegg_barnett_vector,
+    phase_error_summary,
     povm_distribution,
 )
 
@@ -82,9 +84,12 @@ class TestClosedFormDistribution:
         assert np.max(np.abs(got.probs - want)) < 1e-12
 
     def test_matches_matrix_route(self):
+        from interferolab import RoundTripConfig, optimal_phase_state, roundtrip_oracle
+
         m, eta, phi = 4, 0.9, 0.2
         got = optimal_outcome_distribution(m, eta, phi)
-        want = povm_distribution(optimal_state_output(m, eta, phi), m, true_phi=phi)
+        rho = roundtrip_oracle(optimal_phase_state(m), RoundTripConfig(phi, 0.0, eta, eta, m))
+        want = povm_distribution(rho, m, true_phi=phi)
         assert np.max(np.abs(got.probs - want.probs)) < 1e-10
 
     @pytest.mark.parametrize("eta", [0.55, 0.9])
@@ -209,6 +214,19 @@ class TestMmPhaseError:
         sigma = mm_state_output(spec, 0.9, 0.0)
         assert mm_phase_error(sigma, spec, 0.0) == math.inf
 
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 24), data=st.data(), eta=st.floats(0.05, 1.0))
+    def test_mean_square_is_observable_expectation(self, m, data, eta):
+        # the sweep takes <A^2> from the coefficient sums; the overlapping
+        # regime (delta <= m_prime) is included
+        spec = MmStateSpec(m, data.draw(st.integers(0, m - 1), label="m_prime"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            a = mm_observable(spec.m, spec.m_prime, spec.m + 1)
+        want = expectation(mm_state_output(spec, eta, 0.0, check=False), a @ a)
+        got = mm_error_terms(spec, eta, 0.0).mean_square
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_closed_terms_validated(self):
         terms = mm_error_terms(MmStateSpec(9, 3), 0.85, 0.3)
         assert terms.mean_square >= 0.0
@@ -241,38 +259,37 @@ class TestMmPhaseError:
 
 class TestPhaseOptimization:
     def test_shifted_sine_minimum(self):
-        phi_star, val = minimize_over_phase(lambda x: 1.0 + math.sin(x), TWO_PI)
+        phi_star, val, _, _ = phase_error_summary(lambda x: 1.0 + math.sin(x), TWO_PI)
         assert abs(phi_star - 3 * math.pi / 2) < 1e-5
         assert val < 1e-9
 
     def test_constant_function(self):
-        phi_star, val = minimize_over_phase(lambda x: 2.5, TWO_PI)
+        phi_star, val, avg, excluded = phase_error_summary(lambda x: 2.5, TWO_PI)
         assert val == 2.5
-        avg, excluded = average_over_phase(lambda x: 2.5, TWO_PI)
         assert avg == 2.5 and excluded == 0
 
     def test_noiseless_mm_over_reduced_period(self):
         spec = MmStateSpec(6, 1)
         fn = lambda phi: mm_phase_error_closed(mm_error_terms(spec, 1.0, phi))
-        _, val = minimize_over_phase(fn, TWO_PI / spec.delta)
+        _, val, _, _ = phase_error_summary(fn, TWO_PI / spec.delta)
         assert val == pytest.approx(1.0 / spec.delta, abs=1e-12)
 
     def test_minimum_not_above_any_grid_sample(self):
         fn = lambda x: math.sin(3 * x) + 0.5 * math.cos(7 * x + 1.0) + 2.0
         grid = 720
-        _, val = minimize_over_phase(fn, TWO_PI, grid)
+        _, val, _, _ = phase_error_summary(fn, TWO_PI, grid)
         samples = [fn(TWO_PI * k / grid) for k in range(grid)]
         assert val <= min(samples) + 1e-15
 
     def test_average_reports_excluded_sentinels(self):
         fn = lambda x: math.inf if x < 0.01 else 1.0
-        avg, excluded = average_over_phase(fn, TWO_PI, 100)
+        _, _, avg, excluded = phase_error_summary(fn, TWO_PI, 100)
         assert avg == 1.0
         assert excluded == 1  # only the x = 0 grid point
 
     def test_all_infinite_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
-            minimize_over_phase(lambda x: math.inf, TWO_PI, 32)
+            phase_error_summary(lambda x: math.inf, TWO_PI, 32)
 
 
 class TestBaselines:
@@ -298,7 +315,7 @@ class TestBaselines:
     def test_brute_force_agrees_with_closed_form(self):
         n, eta = 3, 0.8
         fn = lambda phi: noon_phase_error_brute(n, eta, phi)
-        _, val = minimize_over_phase(fn, TWO_PI / n, grid_points=64)
+        _, val, _, _ = phase_error_summary(fn, TWO_PI / n, grid_points=64)
         assert val == pytest.approx(baselines(n, eta).noon_error, abs=1e-8)
         # pointwise too, away from stationary points
         phi = 0.37
@@ -315,7 +332,7 @@ class TestLossMonotonicity:
                 rho = apply_phase(optimal_state_output(m, eta, 0.0, check=False), -phi)
                 return circular_rms(povm_distribution(rho, m, true_phi=phi))
 
-            return minimize_over_phase(rms, TWO_PI, 180)[1]
+            return phase_error_summary(rms, TWO_PI, 180)[1]
 
         a, b, c = min_rms(1.0), min_rms(0.9), min_rms(0.5)
         assert a <= b + 1e-12

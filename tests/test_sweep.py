@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import interferolab.sweep as sweep_mod
 from interferolab import (
     CSV_HEADER,
     MmStateSpec,
-    RoundTripConfig,
     SweepConfig,
     UsageError,
     ValidationFailure,
@@ -15,13 +15,11 @@ from interferolab import (
     circular_rms,
     emit_gnu_plot_script,
     merge_external,
-    minimize_over_phase,
     mm_phase_error,
     mm_state_output,
-    optimal_phase_state,
     optimal_state_output,
+    phase_error_summary,
     povm_distribution,
-    roundtrip_step,
     run_sweep,
 )
 from interferolab.sweep import CurvePoint, _mm_row, _optimal_fast_row, format_float
@@ -64,11 +62,6 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="transmissivity"):
             small_cfg(tmp_path, fixed_eta=1.2).check()
 
-    def test_rejects_multi_round_mm(self, tmp_path):
-        cfg = small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0), rounds=2)
-        with pytest.raises(UsageError, match="single round"):
-            cfg.check()
-
     def test_rejects_fractional_n_for_integer_families(self, tmp_path):
         cfg = small_cfg(tmp_path, state_family="no", n_range=(2.5, 3.5, 1.0))
         with pytest.raises(UsageError, match="integer"):
@@ -91,7 +84,7 @@ class TestRowMachinery:
             shifted = apply_phase(rho0, -phi)
             return circular_rms(povm_distribution(shifted, m, true_phi=phi))
 
-        want_phi, want_best = minimize_over_phase(rms, TWO_PI, grid)
+        want_phi, want_best, _, _ = phase_error_summary(rms, TWO_PI, grid)
         samples = [rms(TWO_PI * k / grid) for k in range(grid)]
         assert best == pytest.approx(want_best, abs=1e-12)
         assert phi_star == pytest.approx(want_phi % TWO_PI, abs=1e-9)
@@ -116,25 +109,9 @@ class TestRowMachinery:
         def err(phi):
             return mm_phase_error(mm_state_output(spec, eta, phi, check=False), spec, phi)
 
-        want_phi, want_best = minimize_over_phase(err, period, grid)
+        want_phi, want_best, _, _ = phase_error_summary(err, period, grid)
         assert best == pytest.approx(want_best, rel=1e-10)
         assert phi_star == pytest.approx(want_phi % period, abs=1e-9)
-
-    def test_multi_round_row_uses_oracle_path(self, tmp_path):
-        cfg = small_cfg(tmp_path, n_range=(2.0, 2.0, 1.0), rounds=2, phi_grid_points=64)
-        summary = run_sweep(cfg)
-        row = summary.rows[0]
-        m = 4
-
-        def rms(phi):
-            rc = RoundTripConfig(phi, 0.0, 0.9, 0.9, m, rounds=2)
-            rho = optimal_phase_state(m).to_density()
-            for _ in range(2):
-                rho = roundtrip_step(rho, rc)
-            return circular_rms(povm_distribution(rho, m, true_phi=phi))
-
-        _, want = minimize_over_phase(rms, TWO_PI, 64)
-        assert row.min_rms == pytest.approx(want, abs=1e-12)
 
 
 class TestRunSweep:
@@ -193,6 +170,15 @@ class TestRunSweep:
         # less loss improves the minimized error
         errs = [r.mm_error_min for r in summary.rows]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_overlapping_mm_sweep_does_not_warn(self, tmp_path):
+        # delta <= m_prime chains the observable's dyads; mm_observable warns
+        # about that, but the sweep never builds the observable
+        cfg = small_cfg(tmp_path, state_family="mm", mm_m_prime=3, n_range=(3.5, 4.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_sweep(cfg)
+        assert all(r.mm_error_min is not None for r in summary.rows)
 
     def test_noon_family_rows_only_carry_baselines(self, tmp_path):
         cfg = small_cfg(tmp_path, state_family="noon", n_range=(2.0, 4.0, 1.0))
