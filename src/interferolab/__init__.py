@@ -4,7 +4,7 @@ A probe state samples the interferometer phase in one arm, has its Fock
 components reversed by a permutation unitary, and returns through the
 reference arm, which strips the common arm phase; photon loss acts in
 both arms.  The package provides the truncated Fock-space machinery,
-the protocol channel and its closed-form outputs, phase-error figures
+the protocol channel and its single-round outputs, phase-error figures
 (circular RMS, Holevo dispersion, propagated observable error), and a
 sweep CLI that regenerates the error curves with shot-noise, Heisenberg
 and lossy-NOON baselines.

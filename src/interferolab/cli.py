@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower Fock component for the mm family (top index is 2n - m_prime)")
     p.add_argument("--phi-grid", type=int, default=None, help="phase-grid points per period")
     p.add_argument("--validate", action="store_true", default=False,
-                   help="cross-check closed forms against the brute-force channel first")
+                   help="cross-check the production outputs against the brute-force channel first")
     p.add_argument("--external", default=None, help="two-column CSV merged into the external column")
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--config", default=None, help="key=value config file (flags win)")

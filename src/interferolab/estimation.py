@@ -87,7 +87,7 @@ def povm_distribution(rho: DensityMatrix, m: int, true_phi: float = 0.0) -> Outc
 
 def optimal_outcome_distribution(m: int, eta: float, phi: float) -> OutcomeDistribution:
     """Outcome distribution of the sine-state round trip at phase phi:
-    the closed-form output projected onto the discrete phase states."""
+    the round-trip output projected onto the discrete phase states."""
     return povm_distribution(optimal_state_output(m, eta, phi, check=False), m, phi)
 
 

@@ -1,12 +1,12 @@
-"""Round-trip protocol: brute-force channel composition and closed forms.
+"""Round-trip protocol: brute-force channel composition and the production outputs.
 
 One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
 the reference arm (phase theta, loss eta2).  ``roundtrip_oracle`` plays
-this out with explicit Kraus sums and is the ground truth here; the
-closed-form constructors reproduce its single-round output analytically
-for the two input families and are cross-checked against it by
-``validate_closed_forms``.
+this out with explicit Kraus sums and is the ground truth here.  The
+sine-state output comes from a per-diagonal loss map and the M&M output
+from a closed form; ``validate_closed_forms`` cross-checks both against
+the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .fock import (
     loss_channel,
     permutation_unitary,
 )
-from .states import MmStateSpec, mm_state, optimal_phase_state
+from .states import MmStateSpec, _sine_amplitudes, mm_state, optimal_phase_state
 
 
 def _check_eta(eta: float) -> None:
@@ -83,37 +83,35 @@ def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
     return DensityMatrix(rho.mat, check=True)
 
 
-def _sine_weight_batches(m: int, eta: float):
-    """Per-(i, j) loss prefactors and padded weight vectors for the
-    sine-state closed form.
+def _loss_map(rho: np.ndarray, eta: float) -> np.ndarray:
+    """Photon loss with transmissivity eta on a Hermitian d x d matrix.
 
-    For first-arm loss i and second-arm loss j the weight at output index
-    n is sqrt(C(n+j, j) * C(m-n-j+i, i)) * sin(pi*(m-n-j+i+1/2)/(m+1)),
-    supported on max(0, i-j) <= n <= m-j.
+    Loss commutes with phase, so lag k of the output is one matrix-vector
+    product on lag k of rho: out[a, b] = sum_i amp[a, a+i] amp[b, b+i] rho[a+i, b+i]
+    with amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)); lags below 0 follow by
+    Hermiticity.  Equals ``apply_channel(rho, loss_channel(eta, d))``; raises
+    ValueError once the binomials overflow double (d > 1030).
     """
-    d = m + 1
-    tbl = binomial_table(m)
-    sines = np.sin(np.pi * (np.arange(d) + 0.5) / d)
-    one_minus = 1.0 - eta
-    weights = np.zeros((d * d, d))
-    prefs = np.zeros(d * d)
-    b = 0
-    for i in range(d):
-        for j in range(d):
-            lo = max(0, i - j)
-            hi = m - j
-            n = np.arange(lo, hi + 1)
-            back = m - n - j + i
-            weights[b, lo : hi + 1] = np.sqrt(tbl[n + j, j] * tbl[back, i]) * sines[back]
-            prefs[b] = one_minus ** (i + j) * eta ** (m - j)
-            b += 1
-    return prefs, weights
+    d = rho.shape[0]
+    n = np.arange(d)
+    kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
+    with np.errstate(invalid="ignore"):
+        amp = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
+    if not np.isfinite(amp).all():
+        raise ValueError(f"loss amplitudes are non-finite: binomials of {d - 1} overflow")
+    out = np.zeros_like(rho)
+    for k in range(d):
+        weights = amp[: d - k, : d - k] * amp[k:, k:]
+        out[n[: d - k], n[k:]] = weights @ np.diagonal(rho, k)
+    return out + np.triu(out, 1).conj().T
 
 
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:
-    """Closed-form round-trip output for the optimal phase state.
+    """Round-trip output for the optimal phase state.
 
-    Equal transmissivity eta in both arms, single round.  Matches
+    Equal transmissivity eta in both arms, single round: loss, index
+    reversal and loss act on the real input projector, and the arm phases
+    leave the twist exp(-i*phi*(n-n')).  Matches
     ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
     """
     if m < 1:
@@ -121,11 +119,10 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
     _check_eta(eta)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    d = m + 1
-    prefs, weights = _sine_weight_batches(m, eta)
-    v = weights * np.exp(-1j * phi * np.arange(d))[None, :]
-    rho = (2.0 / d) * (v.T @ (prefs[:, None] * v.conj()))
-    return DensityMatrix(rho, check=check)
+    amps = _sine_amplitudes(m)
+    rho = _loss_map(_loss_map(np.outer(amps, amps), eta)[::-1, ::-1], eta)
+    twist = np.exp(-1j * phi * np.arange(m + 1))
+    return DensityMatrix(rho * np.outer(twist, twist.conj()), check=check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +274,7 @@ def validate_closed_forms(
     tolerance: float = 1e-10,
     theta: float = 0.37,
 ) -> ValidationReport:
-    """Compare both closed forms against the brute-force oracle on a grid.
+    """Compare both production outputs against the brute-force oracle on a grid.
 
     For every m <= max_m, every (eta, phi) cell is checked for the sine
     state and for a few M&M splittings.  The report records the worst

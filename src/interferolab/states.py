@@ -48,9 +48,11 @@ def optimal_phase_state(m: int) -> FockVector:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = np.arange(m + 1)
-    amps = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (n + 0.5) / (m + 1))
-    return FockVector(amps)
+    return FockVector(_sine_amplitudes(m))
+
+
+def _sine_amplitudes(m: int) -> np.ndarray:
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.arange(m + 1) + 0.5) / (m + 1))
 
 
 def mm_state(spec: MmStateSpec) -> FockVector:

@@ -190,7 +190,7 @@ SLOPE_SAMPLES = 64  # slope samples across the half-cell that bracket the minimi
 
 
 class _SineCurve:
-    """The sine-state error curve, from the closed-form output at phi = 0.
+    """The sine-state error curve, from the round-trip output at phi = 0.
 
     The output at phase phi differs from the phi=0 output only by Fock
     phases, so the whole outcome distribution is a short Fourier series
@@ -285,16 +285,18 @@ class _SineCurve:
 
 
 def _optimal_fast_row(m: int, eta: float, grid_points: int):
-    """Error figures for the sine state using the closed-form output.
+    """Error figures for the sine state from its phi = 0 output.
 
-    ``min_rms`` and ``avg_rms`` come from the phase-grid scan of one
-    period.  The reported phase is the minimiser folded into [0, pi/(m+1)]
-    (see ``_SineCurve.folded_argmin``); every minimiser is
-    +-argmin_phi + 2*pi*l/(m+1).
+    The reported phase is the minimiser folded into [0, pi/(m+1)] (see
+    ``_SineCurve.folded_argmin``); every minimiser is
+    +-argmin_phi + 2*pi*l/(m+1).  ``min_rms`` is the RMS there, not the
+    lowest scan sample, which rounding noise biases low; ``avg_rms`` is
+    the mean over the phase-grid scan of one period.
     """
     curve = _SineCurve(m, eta)
-    _, best, avg, excl = phase_error_summary(curve.rms, TWO_PI, grid_points)
-    return best, curve.folded_argmin(), avg, holevo_variance(curve.rho0), excl
+    _, _, avg, excl = phase_error_summary(curve.rms, TWO_PI, grid_points)
+    phi_star = curve.folded_argmin()
+    return curve.rms(phi_star), phi_star, avg, holevo_variance(curve.rho0), excl
 
 
 def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
@@ -330,15 +332,18 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
         noon_baseline=base.noon_error,
     )
     m = cfg._top_index(n)
-    if cfg.state_family == "optimal":
-        best, phi_star, avg, holevo, excl = _optimal_fast_row(m, eta, cfg.phi_grid_points)
-        point = replace(
-            point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo, excluded=excl
-        )
-    elif cfg.state_family in ("mm", "no"):
-        m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
-        best, phi_star, excl = _mm_row(MmStateSpec(m, m_prime), eta, cfg.phi_grid_points)
-        point = replace(point, mm_error_min=best, argmin_phi=phi_star, excluded=excl)
+    try:
+        if cfg.state_family == "optimal":
+            best, phi_star, avg, holevo, excl = _optimal_fast_row(m, eta, cfg.phi_grid_points)
+            point = replace(
+                point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo, excluded=excl
+            )
+        elif cfg.state_family in ("mm", "no"):
+            m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
+            best, phi_star, excl = _mm_row(MmStateSpec(m, m_prime), eta, cfg.phi_grid_points)
+            point = replace(point, mm_error_min=best, argmin_phi=phi_star, excluded=excl)
+    except ValueError as exc:  # the configuration passed check(), so the numbers broke down
+        raise ValidationFailure(f"sweep={format_float(value)} (top index {m}): {exc}") from exc
     return point
 
 
@@ -353,7 +358,7 @@ def _worker_count() -> int:
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
     """Compute every row of the configured sweep and write the CSV.
 
-    With ``cfg.validate`` set, the closed forms are first checked against
+    With ``cfg.validate`` set, the production outputs are first checked against
     the brute-force channel on a small subsample (top index capped at 8)
     and nothing is written unless that passes.  Rows are independent and
     may be computed by several workers (capped by INTERF_THREADS); the

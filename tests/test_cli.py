@@ -48,6 +48,20 @@ class TestExitCodes:
         assert code == 2
         assert "validation failure" in capsys.readouterr().err
 
+    # binomials of 1030 and above overflow double
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("family, n, top", [("optimal", 515, 1030), ("mm", 520, 1037)])
+    def test_non_finite_row_is_a_validation_failure(self, family, n, top, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run([
+            "--family", family, "--m-prime", "3", "--eta", "0.9",
+            "--n-min", str(n), "--n-max", str(n), "--phi-grid", "8", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"validation failure: sweep={n} (top index {top})" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_on_unwritable_output(self, tmp_path, capsys):
         code = run([
             "--n-min", "2", "--n-max", "2", "--n-step", "1",

@@ -20,6 +20,8 @@ from interferolab import (
     roundtrip_step,
     validate_closed_forms,
 )
+from interferolab.fock import apply_channel, loss_channel
+from interferolab.protocol import _loss_map
 
 
 class TestRoundTripConfig:
@@ -90,7 +92,33 @@ class TestRoundTripOracle:
         assert np.max(np.abs(two_rounds(phi) - two_rounds(0.0))) <= 1e-12
 
 
+class TestLossMap:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    def test_matches_kraus_sum(self, d, seed, eta):
+        # complex, non-symmetric diagonals catch a transposed or conjugated lag
+        g = np.random.default_rng(seed).normal(size=(2, d, d))
+        g = g[0] + 1j * g[1]
+        rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        want = apply_channel(rho, loss_channel(eta, d)).mat
+        assert np.max(np.abs(_loss_map(rho.mat, eta) - want)) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_binomials_raise(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _loss_map(np.eye(1031) / 1031, 0.9)
+
+
 class TestOptimalStateOutput:
+    def test_large_m_is_finite_with_unit_trace(self):
+        rho = optimal_state_output(300, 0.9, 0.0, check=False)
+        assert np.isfinite(rho.mat).all()
+        assert abs(np.trace(rho.mat).real - 1.0) <= 1e-10
+
     def test_lossless_limit_is_pure(self):
         m, phi = 5, 0.77
         got = optimal_state_output(m, 1.0, phi)

@@ -1,7 +1,9 @@
+import csv
+import decimal
 import math
 import warnings
-
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,23 @@ class TestRunSweep:
         with pytest.raises(ValidationFailure):
             run_sweep(cfg)
         assert not (tmp_path / "out.csv").exists()
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def test_golden_cells_are_the_reference_correctly_rounded():
+    # reference: tests/golden/mp_reference.py, 40 digits in mpmath
+    with open(GOLDEN_DIR / "optimal_vs_n_eta09_reference.csv", encoding="utf-8") as fh:
+        ref = {row["sweep"]: row for row in csv.DictReader(fh)}
+    with open(GOLDEN_DIR / "optimal_vs_n_eta09_default.csv", encoding="utf-8") as fh:
+        golden = list(csv.DictReader(fh))
+    assert [row["sweep"] for row in golden] == list(ref)
+    twelve = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
+    for row in golden:
+        for col in ("min_rms", "holevo"):
+            want = twelve.plus(decimal.Decimal(ref[row["sweep"]][col]))
+            assert decimal.Decimal(row[col]) == want, (row["sweep"], col)
 
 
 class TestCsvFormatting:
