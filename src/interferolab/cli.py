@@ -3,14 +3,15 @@
 Flags override config-file entries, which override built-in defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 3 I/O error.  The worker count is capped by the INTERF_THREADS
-environment variable (0 or unset picks automatically).
+environment variable, a non-negative integer (0 or unset picks
+automatically).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .sweep import (
     MalformedComparisonError,
@@ -161,14 +162,8 @@ def resolve_config(args) -> tuple:
             for idx, num in val.items():
                 base[idx] = num
             val = tuple(base)
-        cfg = _with(cfg, attr, val)
+        cfg = replace(cfg, **{attr: val})
     return cfg, emit_plot
-
-
-def _with(cfg: SweepConfig, attr: str, val) -> SweepConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **{attr: val})
 
 
 def main(argv=None) -> int:

@@ -136,7 +136,6 @@ class CurvePoint:
     heisenberg: float | None = None
     noon_baseline: float | None = None
     external: float | None = None
-    excluded: int = 0
 
     def csv_row(self) -> str:
         cells = (
@@ -168,15 +167,12 @@ class SweepSummary:
 
     csv_path: str
     rows: tuple
-    excluded_total: int
     elapsed: float
     validation: ValidationReport | None = None
     validation_paths: tuple = ()
 
     def lines(self) -> list:
         out = [f"wrote {len(self.rows)} rows -> {self.csv_path} ({self.elapsed:.2f}s)"]
-        if self.excluded_total:
-            out.append(f"excluded {self.excluded_total} non-finite phase-grid samples from averages")
         if self.validation is not None:
             out.append(
                 f"closed-form validation: max_dev={self.validation.max_dev:.3e} "
@@ -187,6 +183,7 @@ class SweepSummary:
 
 
 SLOPE_SAMPLES = 64  # slope samples across the half-cell that bracket the minimiser
+PHASE_BLOCK = 64  # phases per RMS evaluation; bounds the block's (phases x d) arrays
 
 
 class _SineCurve:
@@ -227,18 +224,23 @@ class _SineCurve:
         self.coeffs = np.stack([1j * lags * b_k - 2.0 * a_k, -2j * lags * a_k], axis=1)
         self.mean_offset = 0.0 if d % 2 else np.pi / d  # sum_l e_l / d: the outcome at +pi
 
-    def rms(self, phi: float) -> float:
-        """Circular RMS of the outcome estimates at phase phi."""
-        d, lags = self.d, self.lags
-        p = (self.trace + 2.0 * (self.kernel @ (self.lag_sums * np.exp(1j * phi * lags))).real) / d
+    def _phased(self, phis: np.ndarray) -> np.ndarray:
+        """Lag sums of the output at each phase, c_k e^{ik phi}: shape phis.shape + (d-1,)."""
+        return self.lag_sums * np.exp(1j * phis[..., None] * self.lags)
+
+    def rms(self, phis) -> np.ndarray:
+        """Circular RMS of the outcome estimates at each phase in phis."""
+        phis = np.asarray(phis, dtype=float)
+        p = (self.trace + 2.0 * (self._phased(phis) @ self.kernel.T).real) / self.d
         p = np.clip(p, 0.0, None)
-        dev = np.abs(np.mod(self.estimates - phi + np.pi, TWO_PI) - np.pi)
-        return math.sqrt(p @ dev**2)
+        dev = np.abs(np.mod(self.estimates - phis[..., None] + np.pi, TWO_PI) - np.pi)
+        # (1 x d) @ (d x 1): per phase, bitwise the same BLAS dot as a 1-D p @ dev**2
+        return np.sqrt((p[..., None, :] @ dev[..., None] ** 2)[..., 0, 0])
 
     def rms2_slope(self, phis) -> np.ndarray:
         """phi-derivative of rms**2 at phases in [0, pi/d], one-sided at the ends."""
         phis = np.asarray(phis, dtype=float)
-        series = ((self.lag_sums * np.exp(1j * np.outer(phis, self.lags))) @ self.coeffs).real
+        series = (self._phased(phis) @ self.coeffs).real
         return (
             2.0 * self.trace * (phis - self.mean_offset)
             + 2.0 / self.d * (series[:, 0] + phis * series[:, 1])
@@ -291,12 +293,16 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int):
     ``_SineCurve.folded_argmin``); every minimiser is
     +-argmin_phi + 2*pi*l/(m+1).  ``min_rms`` is the RMS there, not the
     lowest scan sample, which rounding noise biases low; ``avg_rms`` is
-    the mean over the phase-grid scan of one period.
+    the mean over ``grid_points`` equally spaced phases of one period,
+    evaluated PHASE_BLOCK phases at a time.
     """
     curve = _SineCurve(m, eta)
-    _, _, avg, excl = phase_error_summary(curve.rms, TWO_PI, grid_points)
+    grid = TWO_PI / grid_points * np.arange(grid_points)
+    avg = float(np.concatenate([
+        curve.rms(grid[i : i + PHASE_BLOCK]) for i in range(0, grid_points, PHASE_BLOCK)
+    ]).mean())
     phi_star = curve.folded_argmin()
-    return curve.rms(phi_star), phi_star, avg, holevo_variance(curve.rho0), excl
+    return float(curve.rms(phi_star)), phi_star, avg, holevo_variance(curve.rho0)
 
 
 def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
@@ -315,8 +321,8 @@ def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
     def err_at(phi: float) -> float:
         return _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi)
 
-    _, best, _, excl = phase_error_summary(err_at, TWO_PI / spec.delta, grid_points)
-    return best, math.pi / (2 * spec.delta), excl
+    _, best, _, _ = phase_error_summary(err_at, TWO_PI / spec.delta, grid_points)
+    return best, math.pi / (2 * spec.delta)
 
 
 def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
@@ -334,25 +340,23 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
     m = cfg._top_index(n)
     try:
         if cfg.state_family == "optimal":
-            best, phi_star, avg, holevo, excl = _optimal_fast_row(m, eta, cfg.phi_grid_points)
-            point = replace(
-                point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo, excluded=excl
-            )
+            best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points)
+            point = replace(point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
         elif cfg.state_family in ("mm", "no"):
             m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
-            best, phi_star, excl = _mm_row(MmStateSpec(m, m_prime), eta, cfg.phi_grid_points)
-            point = replace(point, mm_error_min=best, argmin_phi=phi_star, excluded=excl)
+            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta, cfg.phi_grid_points)
+            point = replace(point, mm_error_min=best, argmin_phi=phi_star)
     except ValueError as exc:  # the configuration passed check(), so the numbers broke down
         raise ValidationFailure(f"sweep={format_float(value)} (top index {m}): {exc}") from exc
     return point
 
 
 def _worker_count() -> int:
-    raw = (os.environ.get("INTERF_THREADS") or "").strip()
-    cap = int(raw) if raw.isdigit() else 0
-    if cap > 0:
-        return cap
-    return min(8, os.cpu_count() or 1)
+    """Row workers from INTERF_THREADS: a non-negative integer, 0 or unset for automatic."""
+    raw = os.environ.get("INTERF_THREADS", "").strip()
+    if raw and not raw.isdecimal():
+        raise UsageError(f"INTERF_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw or 0) or min(8, os.cpu_count() or 1)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
@@ -361,14 +365,15 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     With ``cfg.validate`` set, the production outputs are first checked against
     the brute-force channel on a small subsample (top index capped at 8)
     and nothing is written unless that passes.  Rows are independent and
-    may be computed by several workers (capped by INTERF_THREADS); the
-    file always lists them in ascending sweep order.
+    may be computed by several workers (capped by INTERF_THREADS and by
+    the row count); the file always lists them in ascending sweep order.
     """
     started = time.monotonic()
     cfg.check()
     values = cfg.values()
     if not values:
         raise UsageError("sweep range is empty")
+    workers = min(_worker_count(), len(values))
 
     report = None
     report_paths = ()
@@ -391,8 +396,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 report_path=str(txt),
             )
 
-    workers = _worker_count()
-    if workers > 1 and len(values) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda v: _compute_row(cfg, v), values))
     else:
@@ -409,7 +413,6 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    excluded_total = sum(r.excluded for r in rows)
     if cfg.external_comparison_file:
         merge_external(cfg.output_path, cfg.external_comparison_file)
         rows = _reread_rows(cfg.output_path)
@@ -417,7 +420,6 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     return SweepSummary(
         csv_path=cfg.output_path,
         rows=tuple(rows),
-        excluded_total=excluded_total,
         elapsed=time.monotonic() - started,
         validation=report,
         validation_paths=report_paths,

@@ -62,6 +62,14 @@ class TestExitCodes:
         assert f"validation failure: sweep={n} (top index {top})" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "-2"])
+    def test_usage_error_from_bad_thread_count(self, threads, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("INTERF_THREADS", threads)
+        out = tmp_path / "x.csv"
+        assert run(["--n-min", "2", "--n-max", "3", "--phi-grid", "90", "--out", str(out)]) == 1
+        assert "INTERF_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_on_unwritable_output(self, tmp_path, capsys):
         code = run([
             "--n-min", "2", "--n-max", "2", "--n-step", "1",

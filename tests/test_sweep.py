@@ -87,9 +87,12 @@ class TestConfigValidation:
 
 
 class TestRowMachinery:
-    def test_fast_row_matches_public_operations(self):
-        m, eta, grid = 6, 0.85, 90
-        best, phi_star, avg, holevo, _ = _optimal_fast_row(m, eta, grid)
+    # odd and even d, and grids whose last block of phases is partly filled
+    @pytest.mark.parametrize(
+        "m, eta, grid", [(6, 0.85, 90), (41, 0.9, 97), (60, 0.7, 2), (13, 1.0, 720)]
+    )
+    def test_fast_row_matches_public_operations(self, m, eta, grid):
+        best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid)
 
         rho0 = optimal_state_output(m, eta, 0.0)
 
@@ -119,7 +122,7 @@ class TestRowMachinery:
 
     def test_mm_row_matches_pointwise_error(self):
         spec, eta, grid = MmStateSpec(8, 2), 0.8, 120
-        best, phi_star, _ = _mm_row(spec, eta, grid)
+        best, phi_star = _mm_row(spec, eta, grid)
         period = TWO_PI / spec.delta
 
         def err(phi):
@@ -193,7 +196,7 @@ class TestFoldedArgmin:
     @pytest.mark.parametrize("eta", [0.6, 0.95, 1.0])
     def test_mm_reports_quarter_period_off_the_grid(self, spec, eta):
         # a 90-point grid misses delta*phi = pi/2; the reported phase does not
-        best, phi_star, _ = _mm_row(spec, eta, 90)
+        best, phi_star = _mm_row(spec, eta, 90)
         assert phi_star == math.pi / (2 * spec.delta)
 
         def err(phi):
@@ -220,6 +223,19 @@ class TestRunSweep:
         monkeypatch.setenv("INTERF_THREADS", "3")
         run_sweep(small_cfg(tmp_path, output_path=str(b)))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_never_exceeds_the_row_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool(sweep_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 3))  # never start more threads
+
+        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("INTERF_THREADS", "64")
+        run_sweep(small_cfg(tmp_path, n_range=(2.0, 4.0, 1.0)))
+        assert sizes == [3]
 
     def test_header_and_shape(self, tmp_path):
         summary = run_sweep(small_cfg(tmp_path))
@@ -260,6 +276,11 @@ class TestRunSweep:
         # less loss improves the minimized error
         errs = [r.mm_error_min for r in summary.rows]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_mm_summary_has_no_excluded_samples_line(self, tmp_path):
+        # the grid's phi = 0 sample is an inf sentinel, but no CSV column averages the grid
+        cfg = small_cfg(tmp_path, state_family="mm", mm_m_prime=2, n_range=(4.0, 5.0, 1.0))
+        assert not any("excluded" in line for line in run_sweep(cfg).lines())
 
     def test_overlapping_mm_sweep_does_not_warn(self, tmp_path):
         # delta <= m_prime chains the observable's dyads; mm_observable warns
