@@ -2,9 +2,9 @@
 
 First: the absolute arm phase theta cancels exactly, whatever the loss,
 because the index reversal between the two passes flips every relative
-Fock phase.  Second: the sine-state output from the per-diagonal loss
-map and the two-component closed form reproduce the brute-force Kraus
-evolution to machine precision.
+Fock phase.  Second: the sine-state and two-component outputs from the
+per-diagonal loss map reproduce the brute-force Kraus evolution to
+machine precision.
 """
 
 import numpy as np
@@ -38,9 +38,9 @@ print(f"\nsine-state loss map vs oracle: "
 
 spec = MmStateSpec(7, 2)
 oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 0.9, eta, eta, spec.m))
-closed = mm_state_output(spec, eta, phi)
-print(f"two-component closed form vs oracle: "
-      f"{np.max(np.abs(closed.mat - oracle.mat)):.2e}")
+mapped = mm_state_output(spec, eta, phi)
+print(f"two-component loss map vs oracle: "
+      f"{np.max(np.abs(mapped.mat - oracle.mat)):.2e}")
 
 # --- systematic validation grid ------------------------------------------------
 report = validate_closed_forms(max_m=6)

@@ -40,7 +40,7 @@ def rms_at(true_phi):
     return circular_rms(povm_distribution(shifted, m, true_phi=true_phi))
 
 
-phi_star, best, avg, _ = phase_error_summary(rms_at, 2 * math.pi)
+phi_star, best, avg = phase_error_summary(rms_at, 2 * math.pi)
 holevo = holevo_variance(rho0)
 print(f"\nmin  RMS = {best:.5f} at phi = {phi_star:.4f}")
 print(f"mean RMS = {avg:.5f}")
@@ -56,7 +56,7 @@ for mm in (4, 8, 16, 32, 60):
     def rms(true_phi, _m=mm, _r=rho0):
         return circular_rms(povm_distribution(apply_phase(_r, -true_phi), _m, true_phi=true_phi))
 
-    _, mn, _, _ = phase_error_summary(rms, 2 * math.pi, 360)
+    _, mn, _ = phase_error_summary(rms, 2 * math.pi, 360)
     n = mm / 2
     print(f"  {n:4.0f}  {mn:.5f}    {holevo_variance(rho0):.5f}    "
           f"{1 / math.sqrt(n * eta):18.5f}   {1 / n:14.5f}")

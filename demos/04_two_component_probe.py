@@ -30,7 +30,7 @@ for n in (2, 5, 10):
     base = mm_error_terms(spec, 1.0, 0.0)
     fn = lambda phi: mm_phase_error_closed(
         MmErrorTerms(base.mean_square, base.coherence, base.delta, phi))
-    _, err, _, _ = phase_error_summary(fn, TWO_PI / spec.delta)
+    _, err, _ = phase_error_summary(fn, TWO_PI / spec.delta)
     print(f"  N={n:2d}: single-mode pair {err:.6f}  vs  NOON {1 / n:.6f}"
           f"  (ratio {err * n:.3f})")
 
@@ -50,7 +50,7 @@ for eta in (1.0, 0.95, 0.9, 0.8, 0.7):
     base = mm_error_terms(spec, eta, 0.0)
     fn = lambda phi: mm_phase_error_closed(
         MmErrorTerms(base.mean_square, base.coherence, base.delta, phi))
-    phi_star, err, _, _ = phase_error_summary(fn, TWO_PI / spec.delta)
+    phi_star, err, _ = phase_error_summary(fn, TWO_PI / spec.delta)
     refs = baselines(spec.n_avg, eta)
     print(f"  {eta:4.2f}   {err:.6f}   {phi_star:10.6f}   {refs.noon_error:13.6f}"
           f"   {refs.shot_noise:10.6f}")

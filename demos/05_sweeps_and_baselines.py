@@ -25,7 +25,7 @@ print(f"writing results under {workdir}\n")
 # --- NOON baseline cross-check ---------------------------------------------------
 print("lossy NOON baseline, closed form vs brute-force Kraus evolution:")
 for n, eta in ((2, 0.9), (4, 0.8), (6, 0.7)):
-    _, brute, _, _ = phase_error_summary(
+    _, brute, _ = phase_error_summary(
         lambda phi: noon_phase_error_brute(n, eta, phi), 2 * math.pi / n, grid_points=64
     )
     closed = baselines(n, eta).noon_error

@@ -172,12 +172,7 @@ def mm_error_terms(spec: MmStateSpec, eta: float, phi: float) -> MmErrorTerms:
     co = mm_output_coefficients(spec, eta)
     mean_square = 0.0
     for k in range(spec.m_prime + 1):
-        mean_square += (
-            co.pop_low[k + co.delta]
-            + co.pop_low[k]
-            + co.pop_high[k]
-            + co.pop_high[k + co.delta]
-        )
+        mean_square += co.populations[k] + co.populations[k + co.delta]
     return MmErrorTerms(float(mean_square), float(co.coherence.sum()), co.delta, phi)
 
 
@@ -233,9 +228,9 @@ def _golden_section(fn, lo: float, hi: float, xtol: float):
 def phase_error_summary(error_fn, period: float, grid_points: int = 720, refine_tol: float = 1e-6):
     """Scan one period on a uniform grid, refine the best cell, average the rest.
 
-    Returns (phi_star, min_value, grid_average, excluded) where
-    ``excluded`` counts non-finite grid samples left out of the average.
-    Raises ValueError if the function is non-finite everywhere.
+    Returns (phi_star, min_value, grid_average); non-finite grid samples
+    are left out of the average.  Raises ValueError if the function is
+    non-finite everywhere.
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
@@ -250,7 +245,7 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720, refine_
     if vals[k] < best:
         phi_star, best = float(xs[k]), float(vals[k])
     avg = float(vals[finite].mean())
-    return float(phi_star), float(best), avg, int(np.count_nonzero(~finite))
+    return float(phi_star), float(best), avg
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
 the reference arm (phase theta, loss eta2).  ``roundtrip_oracle`` plays
 this out with explicit Kraus sums and is the ground truth here.  The
-sine-state output comes from a per-diagonal loss map and the M&M output
-from a closed form; ``validate_closed_forms`` cross-checks both against
-the oracle.
+sine-state and M&M outputs both come from one per-diagonal loss map;
+``validate_closed_forms`` cross-checks both against the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .fock import (
     loss_channel,
     permutation_unitary,
 )
-from .states import MmStateSpec, _sine_amplitudes, mm_state, optimal_phase_state
+from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes, mm_state, optimal_phase_state
 
 
 def _check_eta(eta: float) -> None:
@@ -83,27 +82,43 @@ def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
     return DensityMatrix(rho.mat, check=True)
 
 
-def _loss_map(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Photon loss with transmissivity eta on a Hermitian d x d matrix.
-
-    Loss commutes with phase, so lag k of the output is one matrix-vector
-    product on lag k of rho: out[a, b] = sum_i amp[a, a+i] amp[b, b+i] rho[a+i, b+i]
-    with amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)); lags below 0 follow by
-    Hermiticity.  Equals ``apply_channel(rho, loss_channel(eta, d))``; raises
-    ValueError once the binomials overflow double (d > 1030).
-    """
-    d = rho.shape[0]
+def _loss_amplitudes(d: int, eta: float) -> np.ndarray:
+    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping
+    a of c photons; raises ValueError once the binomials overflow double
+    (d > 1030)."""
     n = np.arange(d)
     kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
     with np.errstate(invalid="ignore"):
         amp = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
     if not np.isfinite(amp).all():
         raise ValueError(f"loss amplitudes are non-finite: binomials of {d - 1} overflow")
+    return amp
+
+
+def _loss_map(rho: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Photon loss on a Hermitian d x d matrix, given ``_loss_amplitudes(d, eta)``.
+
+    Loss commutes with phase, so lag k of the output is one matrix-vector
+    product on lag k of rho: out[a, b] = sum_i amp[a, a+i] amp[b, b+i] rho[a+i, b+i];
+    an all-zero lag stays zero and is skipped, and lags below 0 follow by
+    Hermiticity.  Equals ``apply_channel(rho, loss_channel(eta, d))``.
+    """
+    d = rho.shape[0]
+    n = np.arange(d)
     out = np.zeros_like(rho)
     for k in range(d):
-        weights = amp[: d - k, : d - k] * amp[k:, k:]
-        out[n[: d - k], n[k:]] = weights @ np.diagonal(rho, k)
+        lag = np.diagonal(rho, k)
+        if lag.any():
+            weights = amp[: d - k, : d - k] * amp[k:, k:]
+            out[n[: d - k], n[k:]] = weights @ lag
     return out + np.triu(out, 1).conj().T
+
+
+def _round_trip(amps: np.ndarray, eta: float) -> np.ndarray:
+    """loss(reverse(loss(|a><a|))) for real amplitudes a: the round-trip
+    output at phi = 0 with transmissivity eta in both arms."""
+    amp = _loss_amplitudes(amps.size, eta)
+    return _loss_map(_loss_map(np.outer(amps, amps), amp)[::-1, ::-1], amp)
 
 
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:
@@ -119,8 +134,7 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
     _check_eta(eta)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    amps = _sine_amplitudes(m)
-    rho = _loss_map(_loss_map(np.outer(amps, amps), eta)[::-1, ::-1], eta)
+    rho = _round_trip(_sine_amplitudes(m), eta)
     twist = np.exp(-1j * phi * np.arange(m + 1))
     return DensityMatrix(rho * np.outer(twist, twist.conj()), check=check)
 
@@ -129,15 +143,13 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
 class MmOutputCoefficients:
     """Populations and coherences of the M&M round-trip output.
 
-    ``pop_low[s]``/``pop_high[s]`` are the diagonal weights at site s fed
-    by the lower (|m_prime>) and upper (|m>) input component;
-    ``coherence[j]`` couples sites j and j+delta with phase delta*phi.
+    ``populations[s]`` is the diagonal weight at site s; ``coherence[j]``
+    couples sites j and j+delta with phase delta*phi.
     """
 
     spec: MmStateSpec
     eta: float
-    pop_low: np.ndarray
-    pop_high: np.ndarray
+    populations: np.ndarray
     coherence: np.ndarray
 
     @property
@@ -146,56 +158,30 @@ class MmOutputCoefficients:
 
 
 def mm_output_coefficients(spec: MmStateSpec, eta: float) -> MmOutputCoefficients:
-    """Coefficient lists of the closed-form M&M output state.
+    """Coefficient lists of the M&M output, read off the round trip at phi = 0.
 
-    The loss prefactor for first-arm loss i and net index shift i-j is
-    (1-eta)^(2i-j) * eta^(m-i+j).
+    The input occupies lags 0 and +-delta only, and loss and the reversal
+    keep lags apart, so the output is its diagonal plus the lag-delta
+    diagonal (sites 0..m_prime).
     """
     _check_eta(eta)
-    m, mp, delta = spec.m, spec.m_prime, spec.delta
-    tbl = binomial_table(m)
-    one_minus = 1.0 - eta
-
-    def pref(i: int, j: int) -> float:
-        return one_minus ** (2 * i - j) * eta ** (m - i + j)
-
-    pop_low = np.zeros(m + 1)  # site j+delta <- alpha_j, j = -delta..mp
-    for j in range(-delta, mp + 1):
-        acc = 0.0
-        for i in range(max(0, j), mp + 1):
-            acc += pref(i, j) * tbl[mp, i] * tbl[i + delta, i - j]
-        pop_low[j + delta] = acc / 2.0
-
-    pop_high = np.zeros(m + 1)  # site j <- beta_j, j = 0..m
-    for j in range(m + 1):
-        acc = 0.0
-        for i in range(j, m + 1):
-            acc += pref(i, j) * tbl[m, i] * tbl[i, j]
-        pop_high[j] = acc / 2.0
-
-    coherence = np.zeros(mp + 1)  # gamma_j between sites j and j+delta
-    for j in range(mp + 1):
-        acc = 0.0
-        for i in range(j, mp + 1):
-            acc += pref(i, j) * math.sqrt(tbl[mp, i] * tbl[m, i] * tbl[i + delta, i - j] * tbl[i, j])
-        coherence[j] = acc
-    return MmOutputCoefficients(spec, eta, pop_low, pop_high, coherence)
+    sigma = _round_trip(_mm_amplitudes(spec), eta)
+    return MmOutputCoefficients(
+        spec, eta, np.diagonal(sigma).copy(), 2.0 * np.diagonal(sigma, spec.delta)
+    )
 
 
 def mm_state_output(
     spec: MmStateSpec, eta: float, phi: float, check: bool = True
 ) -> DensityMatrix:
-    """Closed-form round-trip output for the M&M state (single round,
-    equal transmissivity in both arms)."""
+    """Round-trip output for the M&M state (single round, equal
+    transmissivity in both arms), assembled from its coefficients."""
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     co = mm_output_coefficients(spec, eta)
-    m, delta = spec.m, spec.delta
-    sigma = np.diag((co.pop_low + co.pop_high).astype(complex))
-    off = 0.5 * co.coherence * np.exp(-1j * delta * phi)
-    for j in range(spec.m_prime + 1):
-        sigma[j + delta, j] += off[j]
-        sigma[j, j + delta] += off[j].conjugate()
+    off = 0.5 * co.coherence * np.exp(-1j * co.delta * phi)
+    sigma = np.diag(co.populations.astype(complex))
+    sigma += np.diag(off, -co.delta) + np.diag(off.conj(), co.delta)
     return DensityMatrix(sigma, check=check)
 
 

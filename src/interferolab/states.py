@@ -57,9 +57,13 @@ def _sine_amplitudes(m: int) -> np.ndarray:
 
 def mm_state(spec: MmStateSpec) -> FockVector:
     """Equal superposition of the two Fock states |m> and |m_prime>."""
-    amps = np.zeros(spec.m + 1, dtype=complex)
+    return FockVector(_mm_amplitudes(spec))
+
+
+def _mm_amplitudes(spec: MmStateSpec) -> np.ndarray:
+    amps = np.zeros(spec.m + 1)
     amps[spec.m] = amps[spec.m_prime] = 1.0 / math.sqrt(2.0)
-    return FockVector(amps)
+    return amps
 
 
 def no_state(n: int) -> FockVector:

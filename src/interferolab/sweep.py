@@ -321,7 +321,7 @@ def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
     def err_at(phi: float) -> float:
         return _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi)
 
-    _, best, _, _ = phase_error_summary(err_at, TWO_PI / spec.delta, grid_points)
+    _, best, _ = phase_error_summary(err_at, TWO_PI / spec.delta, grid_points)
     return best, math.pi / (2 * spec.delta)
 
 

@@ -1,4 +1,7 @@
-"""40-digit reference for the golden sweep's ``min_rms`` and ``holevo`` columns.
+"""40-digit references for the golden sweeps.
+
+Without arguments, prints the reference for the optimal golden sweep's
+``min_rms`` and ``holevo`` columns.
 
 Recomputes the sine-state round trip of the default sweep (eta = 0.9,
 N = 2..30, top Fock index m = 2N) in mpmath, from the definitions only:
@@ -13,9 +16,23 @@ the output and are left out.
 Takes about 15 s; run from the repository root:
 
     python3 tests/golden/mp_reference.py > tests/golden/optimal_vs_n_eta09_reference.csv
+
+With ``mm``, checks that every ``mm_error`` cell of the two-component
+golden sweep (mm_vs_n_eta09_mprime3.csv: eta = 0.9, m_prime = 3, top
+index m = 2N - 3) is its 40-digit value correctly rounded to 12
+significant digits, and exits 1 otherwise.  The value is the paper's
+closed form sqrt(MS) / (delta C) at delta*phi = pi/2, with the mean
+square MS and coherence C summed from the M&M output's triple sums:
+
+    python3 tests/golden/mp_reference.py mm
 """
 
 from __future__ import annotations
+
+import csv
+import decimal
+import sys
+from pathlib import Path
 
 import mpmath as mp
 
@@ -53,12 +70,55 @@ def row(m: int):
     return mp.sqrt(ms), mp.sqrt(1 / s**2 - 1)
 
 
-def main() -> None:
+def mm_error(m: int, m_prime: int, eta):
+    """The M&M state's least propagated phase error, from the triple sums."""
+    delta = m - m_prime
+    c = mp.binomial
+
+    def pref(i, j):
+        return (1 - eta) ** (2 * i - j) * eta ** (m - i + j)
+
+    def population(s):  # fed by |m_prime> (shift s - delta) and by |m> (shift s)
+        low = mp.fsum(
+            pref(i, s - delta) * c(m_prime, i) * c(i + delta, i - s + delta)
+            for i in range(max(0, s - delta), m_prime + 1)
+        )
+        high = mp.fsum(pref(i, s) * c(m, i) * c(i, s) for i in range(s, m + 1))
+        return (low + high) / 2
+
+    mean_square = mp.fsum(population(k) + population(k + delta) for k in range(m_prime + 1))
+    coherence = mp.fsum(
+        pref(i, j) * mp.sqrt(c(m_prime, i) * c(m, i) * c(i + delta, i - j) * c(i, j))
+        for j in range(m_prime + 1)
+        for i in range(j, m_prime + 1)
+    )
+    return mp.sqrt(mean_square) / (delta * coherence)
+
+
+def check_mm() -> int:
+    twelve = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
+    with open(Path(__file__).parent / "mm_vs_n_eta09_mprime3.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    wrong = 0
+    for r in rows:
+        ref = mm_error(2 * int(r["sweep"]) - 3, 3, ETA)
+        want = twelve.plus(decimal.Decimal(mp.nstr(ref, DIGITS, strip_zeros=False)))
+        if decimal.Decimal(r["mm_error"]) != want:
+            wrong += 1
+            print(f"N={r['sweep']}: mm_error {r['mm_error']}, reference {want}")
+    print(f"{len(rows) - wrong} of {len(rows)} mm_error cells are the reference correctly rounded")
+    return 1 if wrong else 0
+
+
+def main() -> int:
+    if sys.argv[1:] == ["mm"]:
+        return check_mm()
     print("sweep,min_rms,holevo")
     for n in range(2, 31):
         min_rms, holevo = row(2 * n)
         print(f"{n},{mp.nstr(min_rms, DIGITS, strip_zeros=False)},{mp.nstr(holevo, DIGITS, strip_zeros=False)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -127,9 +127,9 @@ def test_criterion_3_noiseless_factor_of_two():
     worst_no = worst_noon = 0.0
     for n in range(1, 11):
         spec = MmStateSpec(2 * n, 0)
-        _, no_min, _, _ = phase_error_summary(closed_mm_error_fn(spec, 1.0), TWO_PI / spec.delta)
+        _, no_min, _ = phase_error_summary(closed_mm_error_fn(spec, 1.0), TWO_PI / spec.delta)
         worst_no = max(worst_no, abs(no_min - 1.0 / (2 * n)))
-        _, noon_min, _, _ = phase_error_summary(
+        _, noon_min, _ = phase_error_summary(
             lambda phi: noon_phase_error(n, 1.0, phi), TWO_PI / n
         )
         worst_noon = max(worst_noon, abs(noon_min - 1.0 / n))
@@ -183,7 +183,7 @@ def test_criterion_6_mm_noiseless_limit():
     worst = 0.0
     for m, mp in ((30, 10), (9, 3), (2, 0)):
         spec = MmStateSpec(m, mp)
-        _, got, _, _ = phase_error_summary(closed_mm_error_fn(spec, 1.0), TWO_PI / spec.delta)
+        _, got, _ = phase_error_summary(closed_mm_error_fn(spec, 1.0), TWO_PI / spec.delta)
         worst = max(worst, abs(got - 1.0 / spec.delta))
     elapsed = time.perf_counter() - started
     report(
@@ -227,7 +227,7 @@ def test_criterion_8_noon_lossy_baseline():
     worst = 0.0
     for n in range(1, 7):
         for eta in (0.7, 0.9):
-            _, brute, _, _ = phase_error_summary(
+            _, brute, _ = phase_error_summary(
                 lambda phi: noon_phase_error_brute(n, eta, phi),
                 TWO_PI / n,
                 grid_points=64,

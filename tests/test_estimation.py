@@ -259,33 +259,32 @@ class TestMmPhaseError:
 
 class TestPhaseOptimization:
     def test_shifted_sine_minimum(self):
-        phi_star, val, _, _ = phase_error_summary(lambda x: 1.0 + math.sin(x), TWO_PI)
+        phi_star, val, _ = phase_error_summary(lambda x: 1.0 + math.sin(x), TWO_PI)
         assert abs(phi_star - 3 * math.pi / 2) < 1e-5
         assert val < 1e-9
 
     def test_constant_function(self):
-        phi_star, val, avg, excluded = phase_error_summary(lambda x: 2.5, TWO_PI)
+        phi_star, val, avg = phase_error_summary(lambda x: 2.5, TWO_PI)
         assert val == 2.5
-        assert avg == 2.5 and excluded == 0
+        assert avg == 2.5
 
     def test_noiseless_mm_over_reduced_period(self):
         spec = MmStateSpec(6, 1)
         fn = lambda phi: mm_phase_error_closed(mm_error_terms(spec, 1.0, phi))
-        _, val, _, _ = phase_error_summary(fn, TWO_PI / spec.delta)
+        _, val, _ = phase_error_summary(fn, TWO_PI / spec.delta)
         assert val == pytest.approx(1.0 / spec.delta, abs=1e-12)
 
     def test_minimum_not_above_any_grid_sample(self):
         fn = lambda x: math.sin(3 * x) + 0.5 * math.cos(7 * x + 1.0) + 2.0
         grid = 720
-        _, val, _, _ = phase_error_summary(fn, TWO_PI, grid)
+        _, val, _ = phase_error_summary(fn, TWO_PI, grid)
         samples = [fn(TWO_PI * k / grid) for k in range(grid)]
         assert val <= min(samples) + 1e-15
 
     def test_average_reports_excluded_sentinels(self):
         fn = lambda x: math.inf if x < 0.01 else 1.0
-        _, _, avg, excluded = phase_error_summary(fn, TWO_PI, 100)
+        _, _, avg = phase_error_summary(fn, TWO_PI, 100)
         assert avg == 1.0
-        assert excluded == 1  # only the x = 0 grid point
 
     def test_all_infinite_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -315,7 +314,7 @@ class TestBaselines:
     def test_brute_force_agrees_with_closed_form(self):
         n, eta = 3, 0.8
         fn = lambda phi: noon_phase_error_brute(n, eta, phi)
-        _, val, _, _ = phase_error_summary(fn, TWO_PI / n, grid_points=64)
+        _, val, _ = phase_error_summary(fn, TWO_PI / n, grid_points=64)
         assert val == pytest.approx(baselines(n, eta).noon_error, abs=1e-8)
         # pointwise too, away from stationary points
         phi = 0.37

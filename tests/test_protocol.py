@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interferolab import (
@@ -11,6 +11,8 @@ from interferolab import (
     MmStateSpec,
     RoundTripConfig,
     apply_phase,
+    mm_error_terms,
+    mm_output_coefficients,
     mm_state,
     mm_state_output,
     optimal_phase_state,
@@ -21,7 +23,7 @@ from interferolab import (
     validate_closed_forms,
 )
 from interferolab.fock import apply_channel, loss_channel
-from interferolab.protocol import _loss_map
+from interferolab.protocol import _loss_amplitudes, _loss_map
 
 
 class TestRoundTripConfig:
@@ -93,24 +95,36 @@ class TestRoundTripOracle:
 
 
 class TestLossMap:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         d=st.integers(1, 10),
         seed=st.integers(0, 2**32 - 1),
         eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        levels=st.one_of(st.none(), st.sets(st.integers(0, 9), min_size=1, max_size=2)),
+        zeroed=st.sets(st.integers(0, 9)),
     )
-    def test_matches_kraus_sum(self, d, seed, eta):
-        # complex, non-symmetric diagonals catch a transposed or conjugated lag
+    @example(d=6, seed=0, eta=0.8, levels={2, 5}, zeroed=set())  # M&M pattern: lags 0 and 3
+    @example(d=6, seed=0, eta=1.0, levels={2, 5}, zeroed=set())
+    @example(d=4, seed=0, eta=0.8, levels=None, zeroed={0})
+    def test_matches_kraus_sum(self, d, seed, eta, levels, zeroed):
+        # complex, non-symmetric diagonals catch a transposed or conjugated lag;
+        # states on one or two levels (the M&M pattern: lags 0 and delta only,
+        # zero at the lag's first site) and zeroed lags exercise the skip of
+        # all-zero lags
         g = np.random.default_rng(seed).normal(size=(2, d, d))
         g = g[0] + 1j * g[1]
-        rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
-        want = apply_channel(rho, loss_channel(eta, d)).mat
-        assert np.max(np.abs(_loss_map(rho.mat, eta) - want)) <= 1e-13
+        n = np.arange(d)
+        if levels is not None:
+            g[~np.isin(n, [level % d for level in levels])] = 0.0
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        rho[np.isin(np.abs(n[:, None] - n), list(zeroed))] = 0.0
+        want = apply_channel(DensityMatrix(rho, check=False), loss_channel(eta, d)).mat
+        assert np.max(np.abs(_loss_map(rho, _loss_amplitudes(d, eta)) - want)) <= 1e-13
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_binomials_raise(self):
         with pytest.raises(ValueError, match="non-finite"):
-            _loss_map(np.eye(1031) / 1031, 0.9)
+            _loss_amplitudes(1031, 0.9)
 
 
 class TestOptimalStateOutput:
@@ -173,6 +187,65 @@ class TestMmStateOutput:
 
     def test_output_is_valid_density_matrix(self):
         mm_state_output(MmStateSpec(12, 5), 0.75, 2.2).validate()
+
+
+def _mm_closed_form(spec, eta):
+    """The paper's M&M output as triple sums over first-arm loss i and net
+    index shift j, prefactor (1-eta)^(2i-j) eta^(m-i+j); every term is
+    positive.  Returns (populations, coherence)."""
+    m, mp, delta = spec.m, spec.m_prime, spec.delta
+    comb = math.comb
+
+    def pref(i, j):
+        return (1.0 - eta) ** (2 * i - j) * eta ** (m - i + j)
+
+    populations = [
+        0.5 * math.fsum(
+            [pref(i, s - delta) * comb(mp, i) * comb(i + delta, i - s + delta)
+             for i in range(max(0, s - delta), mp + 1)]  # fed by |m_prime>
+            + [pref(i, s) * comb(m, i) * comb(i, s) for i in range(s, m + 1)]  # fed by |m>
+        )
+        for s in range(m + 1)
+    ]
+    coherence = [
+        math.fsum(
+            pref(i, j) * math.sqrt(comb(mp, i) * comb(m, i) * comb(i + delta, i - j) * comb(i, j))
+            for i in range(j, mp + 1)
+        )
+        for j in range(mp + 1)
+    ]
+    return np.array(populations), np.array(coherence)
+
+
+class TestMmClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m_prime=st.integers(0, 30),
+        delta=st.integers(1, 30),
+        eta=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    )
+    @example(m_prime=5, delta=3, eta=1.0)  # overlapping family, lossless
+    @example(m_prime=5, delta=3, eta=0.7)
+    def test_coefficients_match_triple_sum(self, m_prime, delta, eta):
+        # m <= 60, where the binomials are exact integers; relative wherever
+        # the values are normal doubles (eta near 1 drives some subnormal)
+        spec = MmStateSpec(m_prime + delta, m_prime)
+        populations, coherence = _mm_closed_form(spec, eta)
+        co = mm_output_coefficients(spec, eta)
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(co.populations, populations, rtol=1e-14, atol=tiny)
+        np.testing.assert_allclose(co.coherence, coherence, rtol=1e-14, atol=tiny)
+
+    @pytest.mark.parametrize("m", [100, 197, 300])
+    @pytest.mark.parametrize("mp, eta", [(3, 0.9), (3, 0.5), (0, 0.9), (4, 0.97)])
+    def test_error_terms_match_triple_sum_at_large_m(self, m, mp, eta):
+        # above m = 60 the engine's binomials come from log-gamma sums
+        spec = MmStateSpec(m, mp)
+        populations, coherence = _mm_closed_form(spec, eta)
+        terms = mm_error_terms(spec, eta, 0.0)
+        mean_square = math.fsum([*populations[: mp + 1], *populations[spec.delta :]])
+        assert terms.mean_square == pytest.approx(mean_square, rel=2e-12, abs=0.0)
+        assert terms.coherence == pytest.approx(math.fsum(coherence), rel=2e-12, abs=0.0)
 
 
 class TestValidateClosedForms:

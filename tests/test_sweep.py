@@ -29,6 +29,7 @@ from interferolab import (
     povm_distribution,
     run_sweep,
 )
+from interferolab.cli import main as cli_main
 from interferolab.sweep import (
     CurvePoint,
     _mm_row,
@@ -100,7 +101,7 @@ class TestRowMachinery:
             shifted = apply_phase(rho0, -phi)
             return circular_rms(povm_distribution(shifted, m, true_phi=phi))
 
-        _, want_best, _, _ = phase_error_summary(rms, TWO_PI, grid)
+        _, want_best, _ = phase_error_summary(rms, TWO_PI, grid)
         samples = [rms(TWO_PI * k / grid) for k in range(grid)]
         assert best == pytest.approx(want_best, abs=1e-12)
         # the reported phase is a minimiser, folded into the fundamental interval
@@ -128,7 +129,7 @@ class TestRowMachinery:
         def err(phi):
             return mm_phase_error(mm_state_output(spec, eta, phi, check=False), spec, phi)
 
-        _, want_best, _, _ = phase_error_summary(err, period, grid)
+        _, want_best, _ = phase_error_summary(err, period, grid)
         samples = [err(period * k / grid) for k in range(grid)]
         assert best == pytest.approx(want_best, rel=1e-10)
         # the reported phase is a minimiser, folded into the fundamental interval
@@ -334,6 +335,21 @@ def test_golden_cells_are_the_reference_correctly_rounded():
         for col in ("min_rms", "holevo"):
             want = twelve.plus(decimal.Decimal(ref[row["sweep"]][col]))
             assert decimal.Decimal(row[col]) == want, (row["sweep"], col)
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
+    # the two-component benchmark run at seed 0, without --validate
+    if threads is None:
+        monkeypatch.delenv("INTERF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("INTERF_THREADS", threads)
+    out = tmp_path / "mm.csv"
+    assert cli_main([
+        "--family", "mm", "--axis", "n", "--eta", "0.9", "--m-prime", "3",
+        "--n-min", "5", "--n-max", "100", "--n-step", "1", "--phi-grid", "720", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "mm_vs_n_eta09_mprime3.csv").read_bytes()
 
 
 class TestCsvFormatting:
