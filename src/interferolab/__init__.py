@@ -72,7 +72,6 @@ from .sweep import (
     UsageError,
     ValidationFailure,
     emit_gnu_plot_script,
-    merge_external,
     run_sweep,
 )
 

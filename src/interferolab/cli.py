@@ -1,6 +1,8 @@
 """Command-line front end for the sweep runner.
 
-Flags override config-file entries, which override built-in defaults.
+Every setting is one entry of ``KEYS``: its name is both the flag
+(``--n-min``) and the config-file key (``n-min=4``).  Flags override
+config-file entries, which override the ``SweepConfig`` defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 3 I/O error.  The worker count is capped by the INTERF_THREADS
 environment variable, a non-negative integer (0 or unset picks
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .sweep import (
+    FAMILIES,
     MalformedComparisonError,
     SweepConfig,
     UsageError,
@@ -22,25 +25,41 @@ from .sweep import (
     run_sweep,
 )
 
-_RANGE_KEYS = {
-    "n-min": ("n_range", 0),
-    "n-max": ("n_range", 1),
-    "n-step": ("n_range", 2),
-    "eta-min": ("eta_range", 0),
-    "eta-max": ("eta_range", 1),
-    "eta-step": ("eta_range", 2),
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# key -> (SweepConfig field or None, slot in its (min, max, step) range or None,
+#         value parser, help text); booleans are store_true flags
+KEYS = {
+    "family": ("state_family", None, str, "input-state family (noon emits baseline columns only)"),
+    "axis": ("sweep_axis", None, str, "sweep over photon number n or transmissivity eta"),
+    "eta": ("fixed_eta", None, float, "fixed transmissivity for axis n"),
+    "n": ("fixed_n", None, float, "fixed photon number for axis eta"),
+    "n-min": ("n_range", 0, float, "first photon number of axis n"),
+    "n-max": ("n_range", 1, float, "last photon number of axis n"),
+    "n-step": ("n_range", 2, float, "photon-number step of axis n"),
+    "eta-min": ("eta_range", 0, float, "first transmissivity of axis eta"),
+    "eta-max": ("eta_range", 1, float, "last transmissivity of axis eta"),
+    "eta-step": ("eta_range", 2, float, "transmissivity step of axis eta"),
+    "m-prime": ("mm_m_prime", None, int,
+                "lower Fock component for the mm family (top index is 2n - m_prime)"),
+    "phi-grid": ("phi_grid_points", None, int, "phase-grid points per period"),
+    "validate": ("validate", None, _parse_bool,
+                 "cross-check the production outputs against the brute-force channel first"),
+    "external": ("external_comparison_file", None, str,
+                 "two-column CSV merged into the external column"),
+    "out": ("output_path", None, str, "output CSV path"),
+    "emit-plot": (None, None, _parse_bool, "write a gnuplot script next to the CSV"),
 }
 
-_SCALAR_KEYS = {
-    "family": ("state_family", str),
-    "axis": ("sweep_axis", str),
-    "eta": ("fixed_eta", float),
-    "n": ("fixed_n", float),
-    "m-prime": ("mm_m_prime", int),
-    "phi-grid": ("phi_grid_points", int),
-    "external": ("external_comparison_file", str),
-    "out": ("output_path", str),
-}
+_CHOICES = {"family": FAMILIES, "axis": ("n", "eta")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,117 +72,56 @@ def build_parser() -> argparse.ArgumentParser:
         prog="interferolab",
         description="Phase-error sweeps for round-trip single-mode interferometry.",
     )
-    p.add_argument("--family", choices=["optimal", "mm", "no", "noon"], default=None,
-                   help="input-state family (noon emits baseline columns only)")
-    p.add_argument("--axis", choices=["n", "eta"], default=None,
-                   help="sweep over photon number n or transmissivity eta")
-    p.add_argument("--eta", type=float, default=None, help="fixed transmissivity for axis n")
-    p.add_argument("--n", type=float, default=None, help="fixed photon number for axis eta")
-    p.add_argument("--n-min", type=float, default=None)
-    p.add_argument("--n-max", type=float, default=None)
-    p.add_argument("--n-step", type=float, default=None)
-    p.add_argument("--eta-min", type=float, default=None)
-    p.add_argument("--eta-max", type=float, default=None)
-    p.add_argument("--eta-step", type=float, default=None)
-    p.add_argument("--m-prime", type=int, default=None,
-                   help="lower Fock component for the mm family (top index is 2n - m_prime)")
-    p.add_argument("--phi-grid", type=int, default=None, help="phase-grid points per period")
-    p.add_argument("--validate", action="store_true", default=False,
-                   help="cross-check the production outputs against the brute-force channel first")
-    p.add_argument("--external", default=None, help="two-column CSV merged into the external column")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--config", default=None, help="key=value config file (flags win)")
-    p.add_argument("--emit-plot", action="store_true", default=False,
-                   help="write a gnuplot script next to the CSV")
+    for key, (_field, _slot, parse, help_text) in KEYS.items():
+        if parse is _parse_bool:
+            p.add_argument(f"--{key}", action="store_true", default=None, help=help_text)
+        else:
+            p.add_argument(f"--{key}", type=parse, choices=_CHOICES.get(key), help=help_text)
+    p.add_argument("--config", help="key=value config file (flags win)")
     return p
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
-
-
 def load_config_file(path) -> dict:
-    """Parse one key=value per line; blank lines and # comments ignored."""
-    updates: dict = {}
+    """Parse one key=value per line into {flag dest: value}; blank lines
+    and # comments are ignored."""
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, raw = line.partition("=")
+        key, eq, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in _SCALAR_KEYS:
-            attr, typ = _SCALAR_KEYS[key]
-            try:
-                updates[attr] = typ(raw)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}")
-        elif key in _RANGE_KEYS:
-            attr, idx = _RANGE_KEYS[key]
-            try:
-                updates.setdefault(attr, {})[idx] = float(raw)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}")
-        elif key == "validate":
-            updates["validate"] = _parse_bool(raw, key)
-        elif key == "emit-plot":
-            updates["emit_plot"] = _parse_bool(raw, key)
-        else:
+        if not eq:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        if key not in KEYS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-    return updates
-
-
-def _flag_updates(args) -> dict:
-    updates: dict = {}
-    for key, (attr, _typ) in _SCALAR_KEYS.items():
-        val = getattr(args, key.replace("-", "_"))
-        if val is not None:
-            updates[attr] = val
-    for key, (attr, idx) in _RANGE_KEYS.items():
-        val = getattr(args, key.replace("-", "_"))
-        if val is not None:
-            updates.setdefault(attr, {})[idx] = val
-    if args.validate:
-        updates["validate"] = True
-    if args.emit_plot:
-        updates["emit_plot"] = True
-    return updates
+        try:
+            values[key.replace("-", "_")] = KEYS[key][2](raw)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}")
+    return values
 
 
 def resolve_config(args) -> tuple:
     """Apply precedence (flags > config file > defaults); returns
     (SweepConfig, emit_plot)."""
-    merged: dict = {}
-    if args.config:
-        merged.update(load_config_file(args.config))
-    flag_updates = _flag_updates(args)
-    for attr, val in flag_updates.items():
-        if isinstance(val, dict) and isinstance(merged.get(attr), dict):
-            merged[attr].update(val)
-        else:
-            merged[attr] = val
-    emit_plot = bool(merged.pop("emit_plot", False))
-
+    values = load_config_file(args.config) if args.config else {}
+    values.update({dest: val for dest, val in vars(args).items() if val is not None})
     cfg = SweepConfig()
-    names = {f.name for f in fields(SweepConfig)}
-    for attr, val in merged.items():
-        if attr not in names:
-            raise UsageError(f"unknown configuration field {attr!r}")
-        if isinstance(val, dict):  # sparse range override
-            base = list(getattr(cfg, attr))
-            for idx, num in val.items():
-                base[idx] = num
-            val = tuple(base)
-        cfg = replace(cfg, **{attr: val})
-    return cfg, emit_plot
+    fields = {}
+    ranges = {"n_range": list(cfg.n_range), "eta_range": list(cfg.eta_range)}
+    for key, (field, slot, _parse, _help) in KEYS.items():
+        val = values.get(key.replace("-", "_"))
+        if field is None or val is None:
+            continue
+        if slot is None:
+            fields[field] = val
+        else:
+            ranges[field][slot] = val
+    fields.update((field, tuple(bounds)) for field, bounds in ranges.items())
+    return replace(cfg, **fields), bool(values.get("emit_plot"))
 
 
 def main(argv=None) -> int:

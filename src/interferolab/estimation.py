@@ -30,6 +30,7 @@ PROB_NEG_TOL = -1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+REFINE_TOL = 1e-6  # phase tolerance of the golden-section refinement
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +226,7 @@ def _golden_section(fn, lo: float, hi: float, xtol: float):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def phase_error_summary(error_fn, period: float, grid_points: int = 720, refine_tol: float = 1e-6):
+def phase_error_summary(error_fn, period: float, grid_points: int = 720):
     """Scan one period on a uniform grid, refine the best cell, average the rest.
 
     Returns (phi_star, min_value, grid_average); non-finite grid samples
@@ -241,7 +242,7 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720, refine_
     if not finite.any():
         raise ValueError("error function is non-finite over the whole phase grid")
     k = int(np.argmin(vals))
-    phi_star, best = _golden_section(error_fn, xs[k] - step, xs[k] + step, refine_tol)
+    phi_star, best = _golden_section(error_fn, xs[k] - step, xs[k] + step, REFINE_TOL)
     if vals[k] < best:
         phi_star, best = float(xs[k]), float(vals[k])
     avg = float(vals[finite].mean())

@@ -200,7 +200,7 @@ class ValidationCell:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Closed-form vs oracle sweep outcome."""
+    """Validation sweep outcome: production outputs vs the brute-force channel."""
 
     cells: tuple
     tolerance: float

@@ -75,6 +75,9 @@ class SweepConfig:
             raise UsageError(f"unknown family {fam!r}; choose from {FAMILIES}")
         if axis not in ("n", "eta"):
             raise UsageError(f"unknown axis {axis!r}; choose n or eta")
+        settings = (*self.n_range, *self.eta_range, self.fixed_eta, self.fixed_n)
+        if not all(math.isfinite(x) for x in settings):
+            raise UsageError("range bounds, steps and fixed values must be finite")
         lo, hi, step = self.n_range if axis == "n" else self.eta_range
         if step <= 0:
             raise UsageError("range step must be positive")
@@ -109,6 +112,8 @@ class SweepConfig:
             if abs(n - round(n)) > 1e-9:
                 raise UsageError(f"family {fam!r} needs integer photon numbers, got {n!r}")
             m = 2.0 * n
+        if not math.isfinite(m):
+            raise UsageError(f"photon number {n!r} gives a non-finite top Fock index")
         if abs(m - round(m)) > 1e-9:
             raise UsageError(f"photon number {n!r} gives non-integer top Fock index {m!r}")
         m = int(round(m))
@@ -175,7 +180,8 @@ class SweepSummary:
         out = [f"wrote {len(self.rows)} rows -> {self.csv_path} ({self.elapsed:.2f}s)"]
         if self.validation is not None:
             out.append(
-                f"closed-form validation: max_dev={self.validation.max_dev:.3e} "
+                f"production outputs vs the brute-force channel: "
+                f"max_dev={self.validation.max_dev:.3e} "
                 f"({'pass' if self.validation.passed else 'FAIL'}); "
                 f"report: {self.validation_paths[0]}"
             )
@@ -367,6 +373,8 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     and nothing is written unless that passes.  Rows are independent and
     may be computed by several workers (capped by INTERF_THREADS and by
     the row count); the file always lists them in ascending sweep order.
+    With ``cfg.external_comparison_file`` set, that file is read before
+    anything is written and its values fill the ``external`` column.
     """
     started = time.monotonic()
     cfg.check()
@@ -374,6 +382,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     if not values:
         raise UsageError("sweep range is empty")
     workers = min(_worker_count(), len(values))
+    pairs = _read_comparison(cfg.external_comparison_file) if cfg.external_comparison_file else []
 
     report = None
     report_paths = ()
@@ -391,8 +400,8 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
         report_paths = (str(txt), str(kv))
         if not report.passed:
             raise ValidationFailure(
-                f"closed forms deviate from the oracle by {report.max_dev:.3e} "
-                f"(report: {txt})",
+                f"production outputs vs the brute-force channel: max_dev={report.max_dev:.3e} "
+                f"not below tolerance {report.tolerance:.1e} (report: {txt})",
                 report_path=str(txt),
             )
 
@@ -408,14 +417,11 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 f"baseline ordering violated at sweep={row.sweep_value}: "
                 f"heisenberg {row.heisenberg} > shot noise {row.shot_noise}"
             )
+    rows = _with_external(rows, pairs)
 
     lines = [CSV_HEADER] + [r.csv_row() for r in rows]
     with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    if cfg.external_comparison_file:
-        merge_external(cfg.output_path, cfg.external_comparison_file)
-        rows = _reread_rows(cfg.output_path)
 
     return SweepSummary(
         csv_path=cfg.output_path,
@@ -424,32 +430,6 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
         validation=report,
         validation_paths=report_paths,
     )
-
-
-def _reread_rows(csv_path) -> list:
-    rows = []
-    with open(csv_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise MalformedComparisonError(f"unexpected header in {csv_path}")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            vals = [None if c == "" else float(c) for c in cells]
-            rows.append(
-                CurvePoint(
-                    sweep_value=vals[0],
-                    min_rms=vals[1],
-                    argmin_phi=vals[2],
-                    avg_rms=vals[3],
-                    holevo=vals[4],
-                    mm_error_min=vals[5],
-                    shot_noise=vals[6],
-                    heisenberg=vals[7],
-                    noon_baseline=vals[8],
-                    external=vals[9],
-                )
-            )
-    return rows
 
 
 def _read_comparison(path) -> list:
@@ -471,37 +451,21 @@ def _read_comparison(path) -> list:
     return pairs
 
 
-def merge_external(csv_path, comparison_path) -> str:
-    """Fill the ``external`` column of an existing sweep CSV in place.
-
-    The comparison file has two columns (sweep value, error); cells are
-    filled on exact sweep-value match and left empty otherwise.
-    """
-    pairs = _read_comparison(comparison_path)
-    comp = {v: err for v, err in pairs}
-    with open(csv_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise MalformedComparisonError(f"{csv_path} does not carry the standard header")
-    matched = set()
-    out = [CSV_HEADER]
-    for line in lines[1:]:
-        cells = line.split(",")
-        key = float(cells[0])
-        if key in comp:
-            cells[9] = format_float(comp[key])
-            matched.add(key)
-        out.append(",".join(cells))
-    unmatched = [v for v, _ in pairs if v not in matched]
+def _with_external(rows: list, pairs: list) -> list:
+    """Fill ``external`` on the rows whose sweep value, as printed in the
+    CSV, equals a comparison row's value; warn about comparison rows
+    that match no sweep value."""
+    comp = dict(pairs)
+    printed = [float(format_float(r.sweep_value)) for r in rows]
+    seen = set(printed)
+    unmatched = [v for v, _ in pairs if v not in seen]
     if unmatched:
         warnings.warn(
             f"{len(unmatched)} comparison rows had no matching sweep value "
             f"(first: {unmatched[0]!r})",
             stacklevel=2,
         )
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(out) + "\n")
-    return csv_path
+    return [replace(r, external=comp[v]) if v in comp else r for r, v in zip(rows, printed)]
 
 
 def emit_gnu_plot_script(csv_path) -> str:

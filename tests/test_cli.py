@@ -1,7 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import interferolab.sweep as sweep_mod
-from interferolab.cli import load_config_file, main, resolve_config, build_parser
+from interferolab.cli import KEYS, build_parser, load_config_file, main, resolve_config
 from interferolab.sweep import UsageError
 
 
@@ -85,6 +91,30 @@ class TestExitCodes:
             "--external", str(tmp_path / "absent.csv"),
         ])
         assert code == 3
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_io_error_on_malformed_external(self, tmp_path, capsys):
+        comp = tmp_path / "comp.csv"
+        comp.write_text("2,0.5\n3\n")
+        code = run([
+            "--n-min", "2", "--n-max", "3", "--phi-grid", "90",
+            "--out", str(tmp_path / "x.csv"), "--external", str(comp),
+        ])
+        assert code == 3
+        assert f"{comp}:2: expected two comma-separated columns" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-step", "nan"],
+        ["--n-max", "inf"],
+        ["--axis", "eta", "--eta-min", "nan"],
+        ["--axis", "eta", "--n", "1e308", "--eta-min", "0.5", "--eta-max", "0.5"],  # 2n overflows
+    ])
+    def test_usage_error_from_non_finite_setting(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--phi-grid", "8", "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigResolution:
@@ -117,6 +147,33 @@ class TestConfigResolution:
         conf.write_text("# comment\n\nvalidate=true\nemit-plot=yes\n")
         updates = load_config_file(conf)
         assert updates == {"validate": True, "emit_plot": True}
+
+    @pytest.mark.parametrize("line", ["n-min=abc", "phi-grid=2.5", "validate=maybe"])
+    def test_config_file_rejects_bad_value(self, line, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"# comment\n{line}\n")
+        key, _, raw = line.partition("=")
+        with pytest.raises(UsageError, match=re.escape(f"{conf}:2: bad value for {key}: {raw!r}")):
+            load_config_file(conf)
+
+    # one value per key; booleans are bare flags on the command line
+    SAMPLES = {
+        "family": "mm", "axis": "eta", "eta": "0.8", "n": "7", "n-min": "4", "n-max": "9",
+        "n-step": "0.5", "eta-min": "0.6", "eta-max": "0.95", "eta-step": "0.05",
+        "m-prime": "2", "phi-grid": "90", "validate": None, "external": "comp.csv",
+        "out": "x.csv", "emit-plot": None,
+    }
+
+    @pytest.mark.parametrize("key", list(KEYS))
+    def test_flag_and_config_key_agree(self, key, tmp_path):
+        value = self.SAMPLES[key]
+        flag = [f"--{key}"] if value is None else [f"--{key}", value]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key}={'true' if value is None else value}\n")
+        from_flag = resolve_config(build_parser().parse_args(flag))
+        from_file = resolve_config(build_parser().parse_args(["--config", str(conf)]))
+        assert from_flag == from_file
+        assert from_flag != resolve_config(build_parser().parse_args([]))
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -164,3 +221,30 @@ class TestPlotFlag:
         assert code == 0
         assert (tmp_path / "run.gp").exists()
         assert "plot script" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run_module(self, args, cwd):
+        env = dict(os.environ)
+        src = str(self.ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        return subprocess.run(
+            [sys.executable, "-m", "interferolab", *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_help_lists_every_key(self, tmp_path):
+        proc = self.run_module(["--help"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        flags = set(re.findall(r"--[a-z-]+", proc.stdout))
+        assert {f"--{key}" for key in KEYS} | {"--config"} <= flags
+
+    def test_small_sweep_writes_csv(self, tmp_path):
+        proc = self.run_module(["--n-min", "2", "--n-max", "3", "--phi-grid", "90"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 2 rows -> sweep.csv" in proc.stdout
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == sweep_mod.CSV_HEADER
+        assert [row.split(",")[0] for row in lines[1:]] == ["2", "3"]

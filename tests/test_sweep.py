@@ -20,7 +20,6 @@ from interferolab import (
     apply_phase,
     circular_rms,
     emit_gnu_plot_script,
-    merge_external,
     mm_phase_error,
     mm_state_output,
     optimal_outcome_distribution,
@@ -366,52 +365,56 @@ class TestCsvFormatting:
 
 
 class TestMergeExternal:
-    def write_csv(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        run_sweep(cfg)
+    """--external: the comparison file fills the external column before the CSV is written."""
+
+    def run_with(self, tmp_path, text):
+        comp = tmp_path / "comp.csv"
+        comp.write_text(text)
+        run_sweep(small_cfg(tmp_path, external_comparison_file=str(comp)))
         return tmp_path / "out.csv"
 
     def test_empty_comparison_keeps_file(self, tmp_path):
-        csv = self.write_csv(tmp_path)
-        before = csv.read_text()
-        comp = tmp_path / "comp.csv"
-        comp.write_text("")
-        merge_external(csv, comp)
-        assert csv.read_text() == before
+        run_sweep(small_cfg(tmp_path))
+        before = (tmp_path / "out.csv").read_bytes()
+        assert self.run_with(tmp_path, "").read_bytes() == before
 
     def test_single_match_fills_one_cell(self, tmp_path):
-        csv = self.write_csv(tmp_path)
-        comp = tmp_path / "comp.csv"
-        comp.write_text("3,0.125\n")
-        merge_external(csv, comp)
+        csv = self.run_with(tmp_path, "3,0.125\n")
         rows = csv.read_text().splitlines()[1:]
         externals = [r.split(",")[9] for r in rows]
         assert externals == ["", "0.125", "", ""]
 
     def test_mismatch_warns_and_leaves_empty(self, tmp_path):
-        csv = self.write_csv(tmp_path)
-        comp = tmp_path / "comp.csv"
-        comp.write_text("99,0.5\n")
         with pytest.warns(UserWarning, match="no matching sweep value"):
-            merge_external(csv, comp)
+            csv = self.run_with(tmp_path, "99,0.5\n")
         rows = csv.read_text().splitlines()[1:]
         assert all(r.split(",")[9] == "" for r in rows)
 
     def test_malformed_comparison_rejected(self, tmp_path):
-        csv = self.write_csv(tmp_path)
-        comp = tmp_path / "comp.csv"
-        comp.write_text("1,2,3\n")
         from interferolab.sweep import MalformedComparisonError
 
         with pytest.raises(MalformedComparisonError):
-            merge_external(csv, comp)
+            self.run_with(tmp_path, "1,2,3\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_merge_during_run(self, tmp_path):
         comp = tmp_path / "comp.csv"
         comp.write_text("2,0.77\n")
         cfg = small_cfg(tmp_path, external_comparison_file=str(comp))
         summary = run_sweep(cfg)
-        assert summary.rows[0].external == pytest.approx(0.77)
+        assert summary.rows[0].external == 0.77
+
+    def test_match_on_printed_sweep_value(self, tmp_path):
+        # 0.5 + 14 * 0.025 is 0.8500000000000001 but prints as 0.85, which matches
+        comp = tmp_path / "comp.csv"
+        comp.write_text("0.85,0.25\n")
+        cfg = small_cfg(
+            tmp_path, sweep_axis="eta", fixed_n=3.0, eta_range=(0.5, 0.9, 0.025),
+            external_comparison_file=str(comp),
+        )
+        summary = run_sweep(cfg)
+        assert summary.rows[14].sweep_value != 0.85
+        assert [r.external for r in summary.rows] == [None] * 14 + [0.25, None, None]
 
 
 class TestGnuPlotScript:
