@@ -44,7 +44,7 @@ summary = run_sweep(sine_by_n)
 print()
 for line in summary.lines():
     print(line)
-emit_gnu_plot_script(sine_by_n.output_path)
+emit_gnu_plot_script(summary)
 
 pair_by_n = SweepConfig(
     state_family="mm",

@@ -17,7 +17,6 @@ from .fock import (
     PermutationUnitary,
     apply_channel,
     apply_phase,
-    binomial,
     expectation,
     loss_channel,
     permutation_unitary,
@@ -51,7 +50,6 @@ from .estimation import (
     baselines,
     circular_distance,
     circular_rms,
-    circular_rms_about_mean,
     holevo_variance,
     mm_error_terms,
     mm_observable,

@@ -132,7 +132,7 @@ def main(argv=None) -> int:
         for line in summary.lines():
             print(line)
         if emit_plot:
-            script = emit_gnu_plot_script(cfg.output_path)
+            script = emit_gnu_plot_script(summary)
             print(f"plot script -> {script}")
         return 0
     except UsageError as exc:

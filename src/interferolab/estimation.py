@@ -103,14 +103,6 @@ def circular_rms(dist: OutcomeDistribution) -> float:
     return float(math.sqrt(dist.probs @ dev**2))
 
 
-def circular_rms_about_mean(dist: OutcomeDistribution) -> float:
-    """Diagnostic variant: RMS spread around the circular mean estimate."""
-    resultant = np.sum(dist.probs * np.exp(1j * dist.estimates))
-    center = float(np.angle(resultant)) if abs(resultant) > 0 else 0.0
-    dev = circular_distance(dist.estimates, center)
-    return float(math.sqrt(dist.probs @ dev**2))
-
-
 def holevo_variance(rho: DensityMatrix) -> float:
     """Holevo phase dispersion (S^-2 - 1)^(1/2) of the continuous
     phase-state distribution.
@@ -269,13 +261,7 @@ def noon_phase_error(n: int, eta: float, phi: float) -> float:
         raise ValueError("n must be >= 1")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
-    surv = eta**n
-    sin = math.sin(n * phi)
-    slope = n * surv * abs(sin)
-    if slope == 0.0:
-        return math.inf
-    var = surv * ((1.0 - surv) + surv * sin**2)
-    return math.sqrt(var) / slope
+    return _propagated_error(eta**n, eta**n, n, phi)
 
 
 def baselines(n: float, eta: float) -> Baselines:

@@ -26,15 +26,6 @@ KRAUS_TOL = 1e-10
 _EXACT_BINOM_MAX = 60
 
 
-def binomial(n: int, k: int) -> float:
-    """C(n, k) as a float; exact integers for n <= 60, log-gamma above."""
-    if k < 0 or k > n:
-        return 0.0
-    if n <= _EXACT_BINOM_MAX:
-        return float(math.comb(n, k))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-
-
 def binomial_table(nmax: int) -> np.ndarray:
     """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax."""
     t = np.zeros((nmax + 1, nmax + 1))

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,7 @@ class ValidationFailure(Exception):
 
 
 class MalformedComparisonError(Exception):
-    """External comparison file could not be parsed."""
+    """External comparison file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,7 @@ class CurvePoint:
     external: float | None = None
 
     def csv_row(self) -> str:
-        cells = (
-            self.sweep_value,
-            self.min_rms,
-            self.argmin_phi,
-            self.avg_rms,
-            self.holevo,
-            self.mm_error_min,
-            self.shot_noise,
-            self.heisenberg,
-            self.noon_baseline,
-            self.external,
-        )
-        return ",".join(format_float(c) for c in cells)
+        return ",".join(format_float(getattr(self, f.name)) for f in fields(self))
 
 
 def format_float(x) -> str:
@@ -168,13 +155,15 @@ def format_float(x) -> str:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """What a run produced: rows, output path, validation outcome, timing."""
+    """What a run produced: rows, output path, validation outcome, timing,
+    and the comparison values that matched no sweep value."""
 
     csv_path: str
     rows: tuple
     elapsed: float
     validation: ValidationReport | None = None
     validation_paths: tuple = ()
+    unmatched: tuple = ()
 
     def lines(self) -> list:
         out = [f"wrote {len(self.rows)} rows -> {self.csv_path} ({self.elapsed:.2f}s)"]
@@ -185,6 +174,9 @@ class SweepSummary:
                 f"({'pass' if self.validation.passed else 'FAIL'}); "
                 f"report: {self.validation_paths[0]}"
             )
+        if self.unmatched:
+            out.append("comparison values matching no sweep value: "
+                       + ", ".join(map(repr, self.unmatched)))
         return out
 
 
@@ -382,7 +374,8 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     if not values:
         raise UsageError("sweep range is empty")
     workers = min(_worker_count(), len(values))
-    pairs = _read_comparison(cfg.external_comparison_file) if cfg.external_comparison_file else []
+    comp_path = cfg.external_comparison_file
+    external = _read_comparison(comp_path) if comp_path else {}
 
     report = None
     report_paths = ()
@@ -417,7 +410,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 f"baseline ordering violated at sweep={row.sweep_value}: "
                 f"heisenberg {row.heisenberg} > shot noise {row.shot_noise}"
             )
-    rows = _with_external(rows, pairs)
+    rows, unmatched = _with_external(rows, external)
 
     lines = [CSV_HEADER] + [r.csv_row() for r in rows]
     with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
@@ -429,11 +422,14 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
         elapsed=time.monotonic() - started,
         validation=report,
         validation_paths=report_paths,
+        unmatched=unmatched,
     )
 
 
-def _read_comparison(path) -> list:
-    pairs = []
+def _read_comparison(path) -> dict:
+    """Map each comparison sweep value to its error; every cell must be
+    finite and no sweep value may repeat."""
+    comparison = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -445,71 +441,63 @@ def _read_comparison(path) -> list:
                     f"{path}:{lineno}: expected two comma-separated columns"
                 )
             try:
-                pairs.append((float(cells[0]), float(cells[1])))
+                value, error = float(cells[0]), float(cells[1])
             except ValueError as exc:
                 raise MalformedComparisonError(f"{path}:{lineno}: {exc}") from exc
-    return pairs
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise MalformedComparisonError(f"{path}:{lineno}: non-finite cell")
+            if value in comparison:
+                raise MalformedComparisonError(f"{path}:{lineno}: repeated sweep value {value!r}")
+            comparison[value] = error
+    return comparison
 
 
-def _with_external(rows: list, pairs: list) -> list:
+def _with_external(rows: list, comparison: dict) -> tuple:
     """Fill ``external`` on the rows whose sweep value, as printed in the
-    CSV, equals a comparison row's value; warn about comparison rows
-    that match no sweep value."""
-    comp = dict(pairs)
+    CSV, equals a comparison value; also return, in file order, the
+    comparison values that match no sweep value."""
     printed = [float(format_float(r.sweep_value)) for r in rows]
     seen = set(printed)
-    unmatched = [v for v, _ in pairs if v not in seen]
-    if unmatched:
-        warnings.warn(
-            f"{len(unmatched)} comparison rows had no matching sweep value "
-            f"(first: {unmatched[0]!r})",
-            stacklevel=2,
-        )
-    return [replace(r, external=comp[v]) if v in comp else r for r, v in zip(rows, printed)]
+    unmatched = tuple(v for v in comparison if v not in seen)
+    filled = [replace(r, external=comparison[v]) if v in comparison else r
+              for r, v in zip(rows, printed)]
+    return filled, unmatched
 
 
-def emit_gnu_plot_script(csv_path) -> str:
-    """Write a gnuplot script next to the CSV mirroring the standard layout.
+def emit_gnu_plot_script(summary: SweepSummary) -> str:
+    """Write a gnuplot script next to the run's CSV mirroring the standard layout.
 
     Log-scale errors versus the sweep value: solid minimum-error curve,
     plus-sign Holevo markers, grey dashed average, dot-dash NOON curve,
     dashed external comparison, and a shaded band between the shot-noise
-    and Heisenberg columns.  Traces whose column is empty are omitted.
+    and Heisenberg columns.  Traces whose column is empty in every row of
+    ``summary`` are omitted; the CSV itself is not read.
     """
-    path = Path(csv_path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such CSV: {csv_path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise MalformedComparisonError(f"{csv_path} does not carry the standard header")
-    names = CSV_HEADER.split(",")
-    filled = [False] * len(names)
-    for line in lines[1:]:
-        for i, cell in enumerate(line.split(",")):
-            if cell != "":
-                filled[i] = True
+    names = [f.name for f in fields(CurvePoint)]
+    filled = {n for n in names if any(getattr(r, n) is not None for r in summary.rows)}
 
     def col(name: str) -> int:
         return names.index(name) + 1  # gnuplot columns are 1-based
 
+    x = col("sweep_value")
     traces = []
-    if filled[col("shot_noise") - 1] and filled[col("heisenberg") - 1]:
+    if {"shot_noise", "heisenberg"} <= filled:
         traces.append(
-            f"datafile using {col('sweep')}:{col('shot_noise')}:{col('heisenberg')} "
+            f"datafile using {x}:{col('shot_noise')}:{col('heisenberg')} "
             "with filledcurves fc rgb '#dddddd' title 'quantum window'"
         )
     for name, style, title in (
         ("min_rms", "with lines lw 2 lc rgb 'black'", "min RMS"),
-        ("mm_error", "with lines lw 2 lc rgb 'black'", "min propagated error"),
+        ("mm_error_min", "with lines lw 2 lc rgb 'black'", "min propagated error"),
         ("holevo", "with points pt 1 lc rgb 'dark-red'", "Holevo dispersion"),
         ("avg_rms", "with lines dt 2 lc rgb 'grey50'", "avg RMS"),
-        ("noon", "with lines dt 4 lc rgb 'blue'", "NOON baseline"),
+        ("noon_baseline", "with lines dt 4 lc rgb 'blue'", "NOON baseline"),
         ("external", "with lines dt 3 lc rgb 'dark-green'", "external comparison"),
     ):
-        if filled[col(name) - 1]:
-            traces.append(f"datafile using {col('sweep')}:{col(name)} {style} title '{title}'")
+        if name in filled:
+            traces.append(f"datafile using {x}:{col(name)} {style} title '{title}'")
 
+    path = Path(summary.csv_path)
     script = path.with_suffix(".gp")
     body = [
         f"datafile = '{path.name}'",

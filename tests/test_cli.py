@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,20 @@ class TestExitCodes:
         assert code == 3
         assert f"{comp}:2: expected two comma-separated columns" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_unmatched_external_is_listed_in_the_summary(self, tmp_path, capsys):
+        comp = tmp_path / "comp.csv"
+        comp.write_text("2,0.5\n99,0.25\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([
+                "--n-min", "2", "--n-max", "3", "--phi-grid", "90",
+                "--out", str(tmp_path / "x.csv"), "--external", str(comp),
+            ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert "comparison values matching no sweep value: 99.0" in out.splitlines()
 
     @pytest.mark.parametrize("argv", [
         ["--n-step", "nan"],

@@ -14,7 +14,6 @@ from interferolab import (
     baselines,
     circular_distance,
     circular_rms,
-    circular_rms_about_mean,
     expectation,
     holevo_variance,
     mm_error_terms,
@@ -121,11 +120,6 @@ class TestCircularStatistics:
         probs = [0.5, 0.0, 0.0, 0.5]
         dist = OutcomeDistribution(3, probs, math.pi / 4)
         assert circular_rms(dist) == pytest.approx(math.pi / 4, abs=1e-12)
-
-    def test_rms_about_mean_ignores_offset(self):
-        probs = [0.5, 0.0, 0.0, 0.5]
-        spread = circular_rms_about_mean(OutcomeDistribution(3, probs, 0.0))
-        assert spread == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 class TestHolevoVariance:

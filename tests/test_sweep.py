@@ -2,7 +2,7 @@ import csv
 import decimal
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -385,16 +385,26 @@ class TestMergeExternal:
         assert externals == ["", "0.125", "", ""]
 
     def test_mismatch_warns_and_leaves_empty(self, tmp_path):
-        with pytest.warns(UserWarning, match="no matching sweep value"):
-            csv = self.run_with(tmp_path, "99,0.5\n")
-        rows = csv.read_text().splitlines()[1:]
-        assert all(r.split(",")[9] == "" for r in rows)
+        comp = tmp_path / "comp.csv"
+        comp.write_text("99,0.5\n3,0.125\n0.5,1\n")
+        summary = run_sweep(small_cfg(tmp_path, external_comparison_file=str(comp)))
+        assert summary.unmatched == (99.0, 0.5)
+        assert summary.lines()[-1] == "comparison values matching no sweep value: 99.0, 0.5"
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[9] for r in rows] == ["", "0.125", "", ""]
 
-    def test_malformed_comparison_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("1,2,3\n", 1, id="three-columns"),
+        pytest.param("3,0.5\n2,nan\n", 2, id="nan-cell"),
+        pytest.param("inf,0.5\n", 1, id="inf-sweep-value"),
+        pytest.param("3,inf\n3,0.5\n", 1, id="inf-cell"),
+        pytest.param("3,0.25\n# note\n3.0,0.5\n", 3, id="repeated-sweep-value"),
+    ])
+    def test_malformed_comparison_rejected(self, tmp_path, text, line):
         from interferolab.sweep import MalformedComparisonError
 
-        with pytest.raises(MalformedComparisonError):
-            self.run_with(tmp_path, "1,2,3\n")
+        with pytest.raises(MalformedComparisonError, match=f"comp.csv:{line}: "):
+            self.run_with(tmp_path, text)
         assert not (tmp_path / "out.csv").exists()
 
     def test_merge_during_run(self, tmp_path):
@@ -419,9 +429,7 @@ class TestMergeExternal:
 
 class TestGnuPlotScript:
     def test_standard_csv_lists_traces(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        run_sweep(cfg)
-        script = emit_gnu_plot_script(tmp_path / "out.csv")
+        script = emit_gnu_plot_script(run_sweep(small_cfg(tmp_path)))
         body = open(script).read()
         assert "filledcurves" in body
         assert "using 1:2" in body  # min RMS trace
@@ -432,19 +440,25 @@ class TestGnuPlotScript:
         cfg = small_cfg(
             tmp_path, state_family="mm", mm_m_prime=1, n_range=(3.0, 5.0, 1.0)
         )
-        run_sweep(cfg)
-        body = open(emit_gnu_plot_script(tmp_path / "out.csv")).read()
+        body = open(emit_gnu_plot_script(run_sweep(cfg))).read()
         assert "using 1:6" in body
         assert "using 1:2" not in body
 
-    def test_missing_csv_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            emit_gnu_plot_script(tmp_path / "nope.csv")
+    def test_script_is_built_from_the_rows_alone(self, tmp_path):
+        comp = tmp_path / "comp.csv"
+        comp.write_text("0.8,0.2\n")
+        cfg = small_cfg(
+            tmp_path, state_family="mm", mm_m_prime=2, sweep_axis="eta", fixed_n=5.0,
+            eta_range=(0.6, 1.0, 0.2), external_comparison_file=str(comp),
+        )
+        summary = run_sweep(cfg)
+        (tmp_path / "out.csv").unlink()
+        body = open(emit_gnu_plot_script(summary)).read()
+        assert "datafile = 'out.csv'" in body
+        assert "using 1:6 with lines" in body  # mm_error
+        assert "using 1:10 with lines" in body  # external
+        assert "using 1:2 " not in body
+        assert not (tmp_path / "out.csv").exists()
 
-    def test_wrong_header_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b,c\n1,2,3\n")
-        from interferolab.sweep import MalformedComparisonError
-
-        with pytest.raises(MalformedComparisonError):
-            emit_gnu_plot_script(bad)
+    def test_header_names_every_row_field(self):
+        assert len(CSV_HEADER.split(",")) == len(fields(CurvePoint))
