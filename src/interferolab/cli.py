@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .sweep import (
     FAMILIES,
@@ -128,6 +129,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg, emit_plot = resolve_config(args)
+        out = Path(cfg.output_path)
+        if emit_plot and out.with_suffix(".gp") == out:  # emit_gnu_plot_script's name
+            raise UsageError(f"--emit-plot would overwrite the CSV {out} with its script")
         summary = run_sweep(cfg)
         for line in summary.lines():
             print(line)

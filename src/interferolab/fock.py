@@ -10,6 +10,7 @@ construction and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,14 +27,25 @@ KRAUS_TOL = 1e-10
 _EXACT_BINOM_MAX = 60
 
 
-def binomial_table(nmax: int) -> np.ndarray:
-    """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax."""
-    t = np.zeros((nmax + 1, nmax + 1))
-    top = min(nmax, _EXACT_BINOM_MAX)
+def _exact_binomials() -> np.ndarray:
+    """Pascal's triangle in rows 0.._EXACT_BINOM_MAX, from exact integers."""
+    t = np.zeros((_EXACT_BINOM_MAX + 1, _EXACT_BINOM_MAX + 1))
     row = [1]
-    for a in range(top + 1):
+    for a in range(_EXACT_BINOM_MAX + 1):
         t[a, : a + 1] = [float(x) for x in row]
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+    t.setflags(write=False)
+    return t
+
+
+_EXACT_BINOM = _exact_binomials()
+
+
+def binomial_table(nmax: int) -> np.ndarray:
+    """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax (a fresh array)."""
+    t = np.zeros((nmax + 1, nmax + 1))
+    top = min(nmax, _EXACT_BINOM_MAX)
+    t[: top + 1, : top + 1] = _EXACT_BINOM[: top + 1, : top + 1]
     if nmax > _EXACT_BINOM_MAX:
         lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, nmax + 1)))))
         a = np.arange(nmax + 1)[:, None]
@@ -208,12 +220,15 @@ def apply_phase(state, phi: float):
     raise TypeError(f"cannot phase-shift {type(state).__name__}")
 
 
+@functools.lru_cache(maxsize=64)
 def loss_channel(eta: float, dim: int) -> KrausChannel:
     """Photon-loss channel with transmissivity eta on a dim-level mode.
 
     The i-th Kraus matrix removes i photons:
     K_i |n> = sqrt(C(n, i)) * (1-eta)^(i/2) * eta^((n-i)/2) |n-i>.
     eta = 1 yields the identity channel (the single surviving matrix).
+    Memoised per (eta, dim); the channel's matrices are read-only, so
+    callers share one instance.
     """
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")

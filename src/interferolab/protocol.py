@@ -3,9 +3,12 @@
 One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
 the reference arm (phase theta, loss eta2).  ``roundtrip_oracle`` plays
-this out with explicit Kraus sums and is the ground truth here.  The
-sine-state and M&M outputs both come from one per-diagonal loss map;
-``validate_closed_forms`` cross-checks both against the oracle.
+this out with explicit Kraus sums (on the memoised ``loss_channel``) and
+is the ground truth here.  The sine-state and M&M outputs both come from
+one per-diagonal loss map that visits only the lags (diagonals
+n - n' = k) the input occupies: every lag for the sine state, 0 and
+delta for the M&M state.  ``validate_closed_forms`` cross-checks both
+against the oracle.
 """
 
 from __future__ import annotations
@@ -95,30 +98,39 @@ def _loss_amplitudes(d: int, eta: float) -> np.ndarray:
     return amp
 
 
-def _loss_map(rho: np.ndarray, amp: np.ndarray) -> np.ndarray:
+def _loss_map(rho: np.ndarray, amp: np.ndarray, lags) -> np.ndarray:
     """Photon loss on a Hermitian d x d matrix, given ``_loss_amplitudes(d, eta)``.
 
     Loss commutes with phase, so lag k of the output is one matrix-vector
-    product on lag k of rho: out[a, b] = sum_i amp[a, a+i] amp[b, b+i] rho[a+i, b+i];
-    an all-zero lag stays zero and is skipped, and lags below 0 follow by
-    Hermiticity.  Equals ``apply_channel(rho, loss_channel(eta, d))``.
+    product on lag k of rho: out[a, b] = sum_i amp[a, a+i] amp[b, b+i] rho[a+i, b+i].
+    Only the given lags k >= 0 are visited; every other lag of rho must be
+    zero, and ``_round_trip`` supplies the lags its input occupies.  Lags
+    below 0 follow by Hermiticity.  With all lags present this equals
+    ``apply_channel(rho, loss_channel(eta, d))``.
     """
     d = rho.shape[0]
     n = np.arange(d)
     out = np.zeros_like(rho)
-    for k in range(d):
-        lag = np.diagonal(rho, k)
-        if lag.any():
-            weights = amp[: d - k, : d - k] * amp[k:, k:]
-            out[n[: d - k], n[k:]] = weights @ lag
+    for k in lags:
+        weights = amp[: d - k, : d - k] * amp[k:, k:]
+        out[n[: d - k], n[k:]] = weights @ np.diagonal(rho, k)
     return out + np.triu(out, 1).conj().T
+
+
+def _occupied_lags(amps: np.ndarray) -> np.ndarray:
+    """Lags k >= 0 on which |a><a| is non-zero: the autocorrelation of the
+    amplitude support, in O(d) memory."""
+    occ = (amps != 0).astype(float)
+    return np.flatnonzero(np.convolve(occ, occ[::-1])[amps.size - 1 :])
 
 
 def _round_trip(amps: np.ndarray, eta: float) -> np.ndarray:
     """loss(reverse(loss(|a><a|))) for real amplitudes a: the round-trip
-    output at phi = 0 with transmissivity eta in both arms."""
+    output at phi = 0 with transmissivity eta in both arms.  Loss and the
+    reversal keep lags apart, so only the lags of |a><a| are visited."""
     amp = _loss_amplitudes(amps.size, eta)
-    return _loss_map(_loss_map(np.outer(amps, amps), amp)[::-1, ::-1], amp)
+    lags = _occupied_lags(amps)
+    return _loss_map(_loss_map(np.outer(amps, amps), amp, lags)[::-1, ::-1], amp, lags)
 
 
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:

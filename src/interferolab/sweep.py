@@ -315,12 +315,13 @@ def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
     coherence**2, as at eta = 1) the same point is reported by convention.
     """
     terms = mm_error_terms(spec, eta, 0.0)
+    mean_square, coherence, delta = terms.mean_square, terms.coherence, spec.delta
 
     def err_at(phi: float) -> float:
-        return _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi)
+        return _propagated_error(mean_square, coherence, delta, phi)
 
-    _, best, _ = phase_error_summary(err_at, TWO_PI / spec.delta, grid_points)
-    return best, math.pi / (2 * spec.delta)
+    _, best, _ = phase_error_summary(err_at, TWO_PI / delta, grid_points)
+    return best, math.pi / (2 * delta)
 
 
 def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:

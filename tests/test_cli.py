@@ -237,6 +237,17 @@ class TestPlotFlag:
         assert (tmp_path / "run.gp").exists()
         assert "plot script" in capsys.readouterr().out
 
+    def test_csv_named_like_the_script_rejected(self, tmp_path, capsys):
+        # the script goes to the CSV path with suffix .gp, which would be the CSV itself
+        out = tmp_path / "run.gp"
+        code = run([
+            "--n-min", "2", "--n-max", "3", "--n-step", "1",
+            "--phi-grid", "90", "--out", str(out), "--emit-plot",
+        ])
+        assert code == 1
+        assert "would overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModuleEntryPoint:
     ROOT = Path(__file__).resolve().parent.parent
@@ -249,6 +260,24 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "interferolab", *args],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def test_import_loads_only_numpy_and_stdlib(self, tmp_path):
+        # every CLI run pays for what the import loads (setup_s in bench/)
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import interferolab.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "interferolab" in loaded
+        assert loaded - {"interferolab", "numpy"} <= set(sys.stdlib_module_names)
 
     def test_help_lists_every_key(self, tmp_path):
         proc = self.run_module(["--help"], tmp_path)

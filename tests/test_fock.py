@@ -120,6 +120,13 @@ class TestLossChannel:
         with pytest.raises(ValueError):
             loss_channel(eta, 4)
 
+    def test_memoised_and_read_only(self):
+        ch = loss_channel(0.9, 5)
+        assert loss_channel(0.9, 5) is ch
+        assert not any(k.flags.writeable for k in ch.kraus)
+        with pytest.raises(ValueError):
+            ch.kraus[1][0, 1] = 1.0
+
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("dim", [2, 9, 33])
     def test_kraus_completeness(self, eta, dim):
@@ -221,3 +228,11 @@ class TestBinomial:
                     assert tbl[a, b] == want, (a, b)
                 else:
                     assert tbl[a, b] == pytest.approx(want, rel=1e-12), (a, b)
+
+    def test_returns_a_fresh_array(self):
+        # the exact rows are one shared block; writing a result must not reach it
+        want = binomial_table(70).copy()
+        for nmax in (70, 10):
+            binomial_table(nmax)[:] = -1.0
+        assert np.array_equal(binomial_table(70), want)
+        assert np.array_equal(binomial_table(10), want[:11, :11])

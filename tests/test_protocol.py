@@ -23,7 +23,8 @@ from interferolab import (
     validate_closed_forms,
 )
 from interferolab.fock import apply_channel, loss_channel
-from interferolab.protocol import _loss_amplitudes, _loss_map
+from interferolab.protocol import _loss_amplitudes, _loss_map, _occupied_lags, _round_trip
+from interferolab.states import _mm_amplitudes, _sine_amplitudes
 
 
 class TestRoundTripConfig:
@@ -109,8 +110,8 @@ class TestLossMap:
     def test_matches_kraus_sum(self, d, seed, eta, levels, zeroed):
         # complex, non-symmetric diagonals catch a transposed or conjugated lag;
         # states on one or two levels (the M&M pattern: lags 0 and delta only,
-        # zero at the lag's first site) and zeroed lags exercise the skip of
-        # all-zero lags
+        # zero at the lag's first site) and zeroed lags check that visiting
+        # only the occupied lags gives the same map as visiting all of them
         g = np.random.default_rng(seed).normal(size=(2, d, d))
         g = g[0] + 1j * g[1]
         n = np.arange(d)
@@ -119,7 +120,26 @@ class TestLossMap:
         rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
         rho[np.isin(np.abs(n[:, None] - n), list(zeroed))] = 0.0
         want = apply_channel(DensityMatrix(rho, check=False), loss_channel(eta, d)).mat
-        assert np.max(np.abs(_loss_map(rho, _loss_amplitudes(d, eta)) - want)) <= 1e-13
+        amp = _loss_amplitudes(d, eta)
+        for lags in ([k for k in range(d) if k not in zeroed], range(d)):
+            assert np.max(np.abs(_loss_map(rho, amp, lags) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize(
+        "amps, lags",
+        [
+            (_mm_amplitudes(MmStateSpec(7, 3)), [0, 4]),
+            (_mm_amplitudes(MmStateSpec(5, 0)), [0, 5]),
+            (np.eye(6)[2], [0]),
+            (_sine_amplitudes(6), list(range(7))),
+        ],
+        ids=["mm", "no", "single-level", "sine"],
+    )
+    def test_round_trip_visits_occupied_lags(self, amps, lags, eta):
+        assert _occupied_lags(amps).tolist() == lags
+        amp, every = _loss_amplitudes(amps.size, eta), range(amps.size)
+        want = _loss_map(_loss_map(np.outer(amps, amps), amp, every)[::-1, ::-1], amp, every)
+        assert np.array_equal(_round_trip(amps, eta), want)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_binomials_raise(self):
