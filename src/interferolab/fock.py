@@ -42,18 +42,22 @@ _EXACT_BINOM = _exact_binomials()
 
 
 def binomial_table(nmax: int) -> np.ndarray:
-    """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax (a fresh array)."""
+    """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax (a fresh array).
+
+    Rows up to _EXACT_BINOM_MAX are copied from the exact Pascal block;
+    only the rows above it are evaluated through log-gamma.
+    """
     t = np.zeros((nmax + 1, nmax + 1))
     top = min(nmax, _EXACT_BINOM_MAX)
     t[: top + 1, : top + 1] = _EXACT_BINOM[: top + 1, : top + 1]
     if nmax > _EXACT_BINOM_MAX:
         lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, nmax + 1)))))
-        a = np.arange(nmax + 1)[:, None]
+        a = np.arange(top + 1, nmax + 1)[:, None]
         b = np.arange(nmax + 1)[None, :]
         with np.errstate(invalid="ignore"):
             big = np.exp(lf[a] - lf[np.minimum(b, a)] - lf[np.maximum(a - b, 0)])
         big[b > a] = 0.0
-        t[top + 1 :] = big[top + 1 :]
+        t[top + 1 :] = big
     return t
 
 

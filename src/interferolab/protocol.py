@@ -7,12 +7,14 @@ this out with explicit Kraus sums (on the memoised ``loss_channel``) and
 is the ground truth here.  The sine-state and M&M outputs both come from
 one per-diagonal loss map that visits only the lags (diagonals
 n - n' = k) the input occupies: every lag for the sine state, 0 and
-delta for the M&M state.  ``validate_closed_forms`` cross-checks both
-against the oracle.
+delta for the M&M state; the M&M coefficients are memoised per
+(spec, eta).  ``validate_closed_forms`` cross-checks both against the
+oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,11 +90,11 @@ def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
 def _loss_amplitudes(d: int, eta: float) -> np.ndarray:
     """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping
     a of c photons; raises ValueError once the binomials overflow double
-    (d > 1030)."""
+    (d > 1030).  (1-eta) is raised to each loss count once and gathered."""
     n = np.arange(d)
     kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
     with np.errstate(invalid="ignore"):
-        amp = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
+        amp = np.sqrt(binomial_table(d - 1).T * eta**kept * ((1.0 - eta) ** n)[lost])
     if not np.isfinite(amp).all():
         raise ValueError(f"loss amplitudes are non-finite: binomials of {d - 1} overflow")
     return amp
@@ -169,18 +171,22 @@ class MmOutputCoefficients:
         return self.spec.delta
 
 
+@functools.lru_cache(maxsize=16)
 def mm_output_coefficients(spec: MmStateSpec, eta: float) -> MmOutputCoefficients:
     """Coefficient lists of the M&M output, read off the round trip at phi = 0.
 
     The input occupies lags 0 and +-delta only, and loss and the reversal
     keep lags apart, so the output is its diagonal plus the lag-delta
-    diagonal (sites 0..m_prime).
+    diagonal (sites 0..m_prime).  Memoised per (spec, eta), so the
+    validation gate runs one round trip per cell rather than per phase;
+    only the two O(d) read-only vectors are kept, never the d x d output.
     """
     _check_eta(eta)
     sigma = _round_trip(_mm_amplitudes(spec), eta)
-    return MmOutputCoefficients(
-        spec, eta, np.diagonal(sigma).copy(), 2.0 * np.diagonal(sigma, spec.delta)
-    )
+    arrays = (np.diagonal(sigma).copy(), 2.0 * np.diagonal(sigma, spec.delta))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return MmOutputCoefficients(spec, eta, *arrays)
 
 
 def mm_state_output(

@@ -181,7 +181,7 @@ class SweepSummary:
 
 
 SLOPE_SAMPLES = 64  # slope samples across the half-cell that bracket the minimiser
-PHASE_BLOCK = 64  # phases per RMS evaluation; bounds the block's (phases x d) arrays
+PHASE_BLOCK_ELEMENTS = 64 * 301  # phases x d per RMS evaluation; bounds the block's arrays
 
 
 class _SineCurve:
@@ -292,12 +292,13 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int):
     +-argmin_phi + 2*pi*l/(m+1).  ``min_rms`` is the RMS there, not the
     lowest scan sample, which rounding noise biases low; ``avg_rms`` is
     the mean over ``grid_points`` equally spaced phases of one period,
-    evaluated PHASE_BLOCK phases at a time.
+    evaluated in blocks of at most PHASE_BLOCK_ELEMENTS (phases x d).
     """
     curve = _SineCurve(m, eta)
     grid = TWO_PI / grid_points * np.arange(grid_points)
+    block = max(1, PHASE_BLOCK_ELEMENTS // curve.d)
     avg = float(np.concatenate([
-        curve.rms(grid[i : i + PHASE_BLOCK]) for i in range(0, grid_points, PHASE_BLOCK)
+        curve.rms(grid[i : i + block]) for i in range(0, grid_points, block)
     ]).mean())
     phi_star = curve.folded_argmin()
     return float(curve.rms(phi_star)), phi_star, avg, holevo_variance(curve.rho0)
@@ -363,9 +364,13 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     With ``cfg.validate`` set, the production outputs are first checked against
     the brute-force channel on a small subsample (top index capped at 8)
-    and nothing is written unless that passes.  Rows are independent and
-    may be computed by several workers (capped by INTERF_THREADS and by
-    the row count); the file always lists them in ascending sweep order.
+    and nothing is written unless that passes.  Rows are independent.
+    Only ``optimal`` rows go to a thread pool (capped by INTERF_THREADS and
+    by the row count): their O(d^3) output spends most of its time in
+    numpy calls that release the GIL.  Rows of the other families are a
+    pure-Python phase scan that holds the GIL, so a pool cannot overlap
+    them and they run on the calling thread.  The file always lists rows
+    in ascending sweep order.
     With ``cfg.external_comparison_file`` set, that file is read before
     anything is written and its values fill the ``external`` column.
     """
@@ -374,7 +379,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     values = cfg.values()
     if not values:
         raise UsageError("sweep range is empty")
-    workers = min(_worker_count(), len(values))
+    workers = min(_worker_count(), len(values))  # read and checked for every family
     comp_path = cfg.external_comparison_file
     external = _read_comparison(comp_path) if comp_path else {}
 
@@ -399,7 +404,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 report_path=str(txt),
             )
 
-    if workers > 1:
+    if workers > 1 and cfg.state_family == "optimal":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda v: _compute_row(cfg, v), values))
     else:

@@ -69,11 +69,17 @@ class TestExitCodes:
         assert f"validation failure: sweep={n} (top index {top})" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "-2"])
-    def test_usage_error_from_bad_thread_count(self, threads, tmp_path, capsys, monkeypatch):
+    # mm rows never use the worker pool, but the setting is still checked
+    @pytest.mark.parametrize(
+        "threads, family", [("abc", "optimal"), ("-2", "optimal"), ("abc", "mm")],
+        ids=["abc", "-2", "mm-abc"],
+    )
+    def test_usage_error_from_bad_thread_count(self, threads, family, tmp_path, capsys,
+                                               monkeypatch):
         monkeypatch.setenv("INTERF_THREADS", threads)
         out = tmp_path / "x.csv"
-        assert run(["--n-min", "2", "--n-max", "3", "--phi-grid", "90", "--out", str(out)]) == 1
+        assert run(["--family", family, "--n-min", "4", "--n-max", "5", "--phi-grid", "90",
+                    "--out", str(out)]) == 1
         assert "INTERF_THREADS" in capsys.readouterr().err
         assert not out.exists()
 

@@ -229,6 +229,27 @@ class TestBinomial:
                 else:
                     assert tbl[a, b] == pytest.approx(want, rel=1e-12), (a, b)
 
+    @pytest.mark.parametrize("nmax", [0, 1, 5, 59, 60, 61, 100, 197, 300, 1029, 1100])
+    def test_bitwise_equal_to_the_full_block_formula(self, nmax):
+        # log-gamma is evaluated only for the rows above the exact block; the
+        # table must equal the formula evaluated on the whole block, bit for bit
+        want = np.zeros((nmax + 1, nmax + 1))
+        top = min(nmax, 60)
+        want[: top + 1, : top + 1] = [[math.comb(a, b) for b in range(top + 1)]
+                                      for a in range(top + 1)]
+        if nmax > 60:
+            lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, nmax + 1)))))
+            a = np.arange(nmax + 1)[:, None]
+            b = np.arange(nmax + 1)[None, :]
+            with np.errstate(invalid="ignore", over="ignore"):
+                big = np.exp(lf[a] - lf[np.minimum(b, a)] - lf[np.maximum(a - b, 0)])
+            big[b > a] = 0.0
+            want[top + 1 :] = big[top + 1 :]
+        with np.errstate(over="ignore"):
+            got = binomial_table(nmax)
+        assert got.strides == want.strides
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_returns_a_fresh_array(self):
         # the exact rows are one shared block; writing a result must not reach it
         want = binomial_table(70).copy()

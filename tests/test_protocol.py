@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interferolab.protocol as protocol_mod
 from interferolab import (
     DensityMatrix,
     FockVector,
@@ -22,7 +23,7 @@ from interferolab import (
     roundtrip_step,
     validate_closed_forms,
 )
-from interferolab.fock import apply_channel, loss_channel
+from interferolab.fock import apply_channel, binomial_table, loss_channel
 from interferolab.protocol import _loss_amplitudes, _loss_map, _occupied_lags, _round_trip
 from interferolab.states import _mm_amplitudes, _sine_amplitudes
 
@@ -141,6 +142,26 @@ class TestLossMap:
         want = _loss_map(_loss_map(np.outer(amps, amps), amp, every)[::-1, ::-1], amp, every)
         assert np.array_equal(_round_trip(amps, eta), want)
 
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 0.9266, 1.0])
+    @pytest.mark.parametrize("d", [2, 61, 62, 181, 182, 301, 1030])
+    def test_table_bitwise_equal_to_the_elementwise_power(self, d, eta):
+        # (1-eta) is raised to each loss count once and gathered; values and
+        # memory order must equal those of the d x d power, bit for bit
+        n = np.arange(d)
+        kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
+        want = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
+        got = _loss_amplitudes(d, eta)
+        assert got.strides == want.strides
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d, c_order", [(181, True), (182, False)])
+    def test_table_memory_order_is_pinned(self, d, c_order):
+        # the last bits of _loss_map depend on the memory order of this table,
+        # and numpy gives C order up to d = 181 and F order from d = 182 on;
+        # flipping it moves bytes of rows with m >= 181
+        amp = _loss_amplitudes(d, 0.9)
+        assert (amp.flags.c_contiguous, amp.flags.f_contiguous) == (c_order, not c_order)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_binomials_raise(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -255,6 +276,34 @@ class TestMmClosedForm:
         tiny = np.finfo(float).tiny
         np.testing.assert_allclose(co.populations, populations, rtol=1e-14, atol=tiny)
         np.testing.assert_allclose(co.coherence, coherence, rtol=1e-14, atol=tiny)
+
+    def test_coefficients_are_read_only_and_equal_a_fresh_round_trip(self):
+        # repeated keys, keys interleaved with others, and keys revisited after
+        # more distinct keys than the memo holds all give the round trip's bits
+        first = [(MmStateSpec(8, 2), 0.9), (MmStateSpec(8, 2), 0.5), (MmStateSpec(300, 3), 0.9)]
+        others = [(MmStateSpec(m, m // 3), eta) for m in range(2, 12) for eta in (0.7, 1.0)]
+        for spec, eta in first + first[::-1] + others + first + [first[0]] * 2:
+            co = mm_output_coefficients(spec, eta)
+            sigma = _round_trip(_mm_amplitudes(spec), eta)
+            for got, want in ((co.populations, np.diagonal(sigma)),
+                              (co.coherence, 2.0 * np.diagonal(sigma, spec.delta))):
+                assert not got.flags.writeable
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_validation_gate_runs_one_round_trip_per_cell(self, monkeypatch):
+        # 21 (m, m_prime) pairs at max_m = 8, times 3 transmissivities; the
+        # 3 phases of a cell share its coefficients
+        built = []
+
+        def counting(spec):
+            built.append(spec)
+            return _mm_amplitudes(spec)
+
+        monkeypatch.setattr(protocol_mod, "_mm_amplitudes", counting)
+        mm_output_coefficients.cache_clear()
+        validate_closed_forms(8)
+        assert len(built) == 63
 
     @pytest.mark.parametrize("m", [100, 197, 300])
     @pytest.mark.parametrize("mp, eta", [(3, 0.9), (3, 0.5), (0, 0.9), (4, 0.97)])

@@ -87,9 +87,13 @@ class TestConfigValidation:
 
 
 class TestRowMachinery:
-    # odd and even d, and grids whose last block of phases is partly filled
+    # odd and even d, and grids whose last block of phases is partly filled;
+    # blocks hold PHASE_BLOCK_ELEMENTS // d phases: one block covers all 720
+    # phases at d = 5, and d = 41 fills 469 + 31 of a 500-point grid
     @pytest.mark.parametrize(
-        "m, eta, grid", [(6, 0.85, 90), (41, 0.9, 97), (60, 0.7, 2), (13, 1.0, 720)]
+        "m, eta, grid",
+        [(6, 0.85, 90), (41, 0.9, 97), (60, 0.7, 2), (13, 1.0, 720), (4, 0.8, 720),
+         (40, 0.9, 500)],
     )
     def test_fast_row_matches_public_operations(self, m, eta, grid):
         best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid)
@@ -237,6 +241,25 @@ class TestRunSweep:
         run_sweep(small_cfg(tmp_path, n_range=(2.0, 4.0, 1.0)))
         assert sizes == [3]
 
+    @pytest.mark.parametrize(
+        "family, pools", [("optimal", [3]), ("mm", []), ("no", []), ("noon", [])],
+        ids=["optimal", "mm", "no", "noon"],
+    )
+    def test_only_optimal_sweeps_use_the_row_pool(self, family, pools, tmp_path, monkeypatch):
+        # rows of the other families hold the GIL, so they run on the calling thread
+        sizes = []
+
+        class RecordingPool(sweep_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("INTERF_THREADS", "3")
+        summary = run_sweep(small_cfg(tmp_path, state_family=family, n_range=(4.0, 7.0, 1.0)))
+        assert len(summary.rows) == 4
+        assert sizes == pools
+
     def test_header_and_shape(self, tmp_path):
         summary = run_sweep(small_cfg(tmp_path))
         lines = (tmp_path / "out.csv").read_text().splitlines()
@@ -336,7 +359,7 @@ def test_golden_cells_are_the_reference_correctly_rounded():
             assert decimal.Decimal(row[col]) == want, (row["sweep"], col)
 
 
-@pytest.mark.parametrize("threads", ["1", None])
+@pytest.mark.parametrize("threads", ["1", None, "3"])
 def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
     # the two-component benchmark run at seed 0, without --validate
     if threads is None:
