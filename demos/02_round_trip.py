@@ -2,9 +2,9 @@
 
 First: the absolute arm phase theta cancels exactly, whatever the loss,
 because the index reversal between the two passes flips every relative
-Fock phase.  Second: the sine-state and two-component outputs from the
-per-diagonal loss map reproduce the brute-force Kraus evolution to
-machine precision.
+Fock phase.  Second: the sine-state and two-component outputs, assembled
+from the lag-space round trip, reproduce the brute-force Kraus evolution
+to machine precision.
 """
 
 import numpy as np
@@ -33,13 +33,13 @@ for theta in (0.3, 1.7, np.pi):
 
 # --- production outputs vs oracle ----------------------------------------------
 mapped = optimal_state_output(m, eta, phi)
-print(f"\nsine-state loss map vs oracle: "
+print(f"\nsine-state round trip vs oracle: "
       f"{np.max(np.abs(mapped.mat - base.mat)):.2e}")
 
 spec = MmStateSpec(7, 2)
 oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 0.9, eta, eta, spec.m))
 mapped = mm_state_output(spec, eta, phi)
-print(f"two-component loss map vs oracle: "
+print(f"two-component round trip vs oracle: "
       f"{np.max(np.abs(mapped.mat - oracle.mat)):.2e}")
 
 # --- systematic validation grid ------------------------------------------------

@@ -111,10 +111,12 @@ def holevo_variance(rho: DensityMatrix) -> float:
     sum of the first off-diagonal of rho, so S = |sum_n <n+1|rho|n>|.
     Returns +inf for states with no first-neighbor coherence.
     """
-    s = abs(complex(np.sum(np.diagonal(rho.mat, offset=-1))))
-    if s == 0.0:
-        return math.inf
-    return math.sqrt(max(s**-2 - 1.0, 0.0))
+    return _holevo_dispersion(abs(complex(np.sum(np.diagonal(rho.mat, offset=-1)))))
+
+
+def _holevo_dispersion(s: float) -> float:
+    """(S^-2 - 1)^(1/2) for the coherence sum S; +inf at S = 0."""
+    return math.sqrt(max(s**-2 - 1.0, 0.0)) if s else math.inf
 
 
 def mm_observable(m: int, m_prime: int, dim: int) -> np.ndarray:

@@ -1,15 +1,15 @@
-"""Round-trip protocol: brute-force channel composition and the production outputs.
+"""Round-trip protocol: brute-force channel composition and the production engine.
 
 One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
 the reference arm (phase theta, loss eta2).  ``roundtrip_oracle`` plays
 this out with explicit Kraus sums (on the memoised ``loss_channel``) and
-is the ground truth here.  The sine-state and M&M outputs both come from
-one per-diagonal loss map that visits only the lags (diagonals
-n - n' = k) the input occupies: every lag for the sine state, 0 and
-delta for the M&M state; the M&M coefficients are memoised per
-(spec, eta).  ``validate_closed_forms`` cross-checks both against the
-oracle.
+is the ground truth here.  The engine, ``_round_trip``, returns only the
+output's lag diagonals (n - n' = k) that the input occupies: every lag
+for the sine state, 0 and delta for the M&M state, O(d) numbers each.
+The sweep reads them directly; ``optimal_state_output`` and
+``mm_state_output`` build full matrices from them for
+``validate_closed_forms`` to check against the oracle.
 """
 
 from __future__ import annotations
@@ -100,25 +100,6 @@ def _loss_amplitudes(d: int, eta: float) -> np.ndarray:
     return amp
 
 
-def _loss_map(rho: np.ndarray, amp: np.ndarray, lags) -> np.ndarray:
-    """Photon loss on a Hermitian d x d matrix, given ``_loss_amplitudes(d, eta)``.
-
-    Loss commutes with phase, so lag k of the output is one matrix-vector
-    product on lag k of rho: out[a, b] = sum_i amp[a, a+i] amp[b, b+i] rho[a+i, b+i].
-    Only the given lags k >= 0 are visited; every other lag of rho must be
-    zero, and ``_round_trip`` supplies the lags its input occupies.  Lags
-    below 0 follow by Hermiticity.  With all lags present this equals
-    ``apply_channel(rho, loss_channel(eta, d))``.
-    """
-    d = rho.shape[0]
-    n = np.arange(d)
-    out = np.zeros_like(rho)
-    for k in lags:
-        weights = amp[: d - k, : d - k] * amp[k:, k:]
-        out[n[: d - k], n[k:]] = weights @ np.diagonal(rho, k)
-    return out + np.triu(out, 1).conj().T
-
-
 def _occupied_lags(amps: np.ndarray) -> np.ndarray:
     """Lags k >= 0 on which |a><a| is non-zero: the autocorrelation of the
     amplitude support, in O(d) memory."""
@@ -126,30 +107,43 @@ def _occupied_lags(amps: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.convolve(occ, occ[::-1])[amps.size - 1 :])
 
 
-def _round_trip(amps: np.ndarray, eta: float) -> np.ndarray:
-    """loss(reverse(loss(|a><a|))) for real amplitudes a: the round-trip
-    output at phi = 0 with transmissivity eta in both arms.  Loss and the
-    reversal keep lags apart, so only the lags of |a><a| are visited."""
-    amp = _loss_amplitudes(amps.size, eta)
-    lags = _occupied_lags(amps)
-    return _loss_map(_loss_map(np.outer(amps, amps), amp, lags)[::-1, ::-1], amp, lags)
+def _round_trip(amps: np.ndarray, eta: float) -> dict:
+    """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
+    the round-trip output at phi = 0 with transmissivity eta in both arms,
+    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies.
+
+    Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
+    with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
+    symmetric, so the reversal maps lag k to lag k read backwards.  Lags
+    below 0 mirror lags above 0.
+    """
+    d = amps.size
+    amp = _loss_amplitudes(d, eta)
+    lags = {}
+    for k in map(int, _occupied_lags(amps)):
+        w = amp[: d - k, : d - k] * amp[k:, k:]
+        lags[k] = w @ (w @ (amps[: d - k] * amps[k:]))[::-1]
+    return lags
 
 
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:
-    """Round-trip output for the optimal phase state.
+    """Round-trip output for the optimal phase state, as a d x d matrix.
 
-    Equal transmissivity eta in both arms, single round: loss, index
-    reversal and loss act on the real input projector, and the arm phases
-    leave the twist exp(-i*phi*(n-n')).  Matches
-    ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
+    Equal transmissivity eta in both arms, single round: the matrix is
+    assembled from the lags of ``_round_trip`` (the numbers the sweep
+    reads), and the arm phases leave the twist exp(-i*phi*(n-n')).
+    Matches ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_eta(eta)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    rho = _round_trip(_sine_amplitudes(m), eta)
-    twist = np.exp(-1j * phi * np.arange(m + 1))
+    n = np.arange(m + 1)
+    rho = np.zeros((m + 1, m + 1))
+    for k, lag in _round_trip(_sine_amplitudes(m), eta).items():
+        rho[n[: m + 1 - k], n[k:]] = rho[n[k:], n[: m + 1 - k]] = lag
+    twist = np.exp(-1j * phi * n)
     return DensityMatrix(rho * np.outer(twist, twist.conj()), check=check)
 
 
@@ -173,17 +167,18 @@ class MmOutputCoefficients:
 
 @functools.lru_cache(maxsize=16)
 def mm_output_coefficients(spec: MmStateSpec, eta: float) -> MmOutputCoefficients:
-    """Coefficient lists of the M&M output, read off the round trip at phi = 0.
+    """Coefficient lists of the M&M output: the lags of the round trip at phi = 0.
 
     The input occupies lags 0 and +-delta only, and loss and the reversal
     keep lags apart, so the output is its diagonal plus the lag-delta
-    diagonal (sites 0..m_prime).  Memoised per (spec, eta), so the
-    validation gate runs one round trip per cell rather than per phase;
-    only the two O(d) read-only vectors are kept, never the d x d output.
+    diagonal (non-zero on sites 0..m_prime), both O(d) vectors from
+    ``_round_trip``.  Memoised per (spec, eta), so the validation gate
+    runs one round trip per cell rather than per phase; the vectors are
+    read-only.
     """
     _check_eta(eta)
-    sigma = _round_trip(_mm_amplitudes(spec), eta)
-    arrays = (np.diagonal(sigma).copy(), 2.0 * np.diagonal(sigma, spec.delta))
+    lags = _round_trip(_mm_amplitudes(spec), eta)
+    arrays = (lags[0], 2.0 * lags[spec.delta])
     for arr in arrays:
         arr.setflags(write=False)
     return MmOutputCoefficients(spec, eta, *arrays)
@@ -271,12 +266,12 @@ def _dev_cell(form, m, m_prime, eta, phi, got: DensityMatrix, want: DensityMatri
     return ValidationCell(form, m, m_prime, eta, phi, float(diff[coords]), tuple(int(x) for x in coords))
 
 
+_VALIDATION_TOLERANCE = 1e-10
+_VALIDATION_THETA = 0.37  # arm phase of the oracle runs, which the round trip cancels
+
+
 def validate_closed_forms(
-    max_m: int,
-    eta_grid=(0.5, 0.9, 1.0),
-    phi_grid=(0.0, 0.3, 1.2),
-    tolerance: float = 1e-10,
-    theta: float = 0.37,
+    max_m: int, eta_grid=(0.5, 0.9, 1.0), phi_grid=(0.0, 0.3, 1.2)
 ) -> ValidationReport:
     """Compare both production outputs against the brute-force oracle on a grid.
 
@@ -288,7 +283,7 @@ def validate_closed_forms(
     for m in range(1, max_m + 1):
         for eta in eta_grid:
             for phi in phi_grid:
-                cfg = RoundTripConfig(phi, theta, eta, eta, m)
+                cfg = RoundTripConfig(phi, _VALIDATION_THETA, eta, eta, m)
                 oracle = roundtrip_oracle(optimal_phase_state(m), cfg)
                 closed = optimal_state_output(m, eta, phi, check=False)
                 cells.append(_dev_cell("rho", m, -1, eta, phi, closed, oracle))
@@ -297,4 +292,4 @@ def validate_closed_forms(
                     oracle = roundtrip_oracle(mm_state(spec), cfg)
                     closed = mm_state_output(spec, eta, phi, check=False)
                     cells.append(_dev_cell("sigma", m, mp, eta, phi, closed, oracle))
-    return ValidationReport(tuple(cells), tolerance)
+    return ValidationReport(tuple(cells), _VALIDATION_TOLERANCE)

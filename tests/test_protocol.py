@@ -23,8 +23,8 @@ from interferolab import (
     roundtrip_step,
     validate_closed_forms,
 )
-from interferolab.fock import apply_channel, binomial_table, loss_channel
-from interferolab.protocol import _loss_amplitudes, _loss_map, _occupied_lags, _round_trip
+from interferolab.fock import binomial_table
+from interferolab.protocol import _loss_amplitudes, _occupied_lags, _round_trip
 from interferolab.states import _mm_amplitudes, _sine_amplitudes
 
 
@@ -96,34 +96,51 @@ class TestRoundTripOracle:
         assert np.max(np.abs(two_rounds(phi) - two_rounds(0.0))) <= 1e-12
 
 
+def _from_lags(lags: dict, d: int) -> np.ndarray:
+    """The real symmetric d x d matrix whose lag-k diagonals are lags[k]."""
+    out = np.zeros((d, d))
+    for k, lag in lags.items():
+        out += np.diag(lag, k) + (np.diag(lag, -k) if k else 0.0)
+    return out
+
+
+def _lag_weights(d: int, eta: float, k: int) -> np.ndarray:
+    """W_k: loss at eta on the lag-k diagonal of a d x d matrix."""
+    amp = _loss_amplitudes(d, eta)
+    return amp[: d - k, : d - k] * amp[k:, k:]
+
+
 class TestLossMap:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        d=st.integers(1, 10),
+        d=st.integers(1, 11),
         seed=st.integers(0, 2**32 - 1),
         eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
-        levels=st.one_of(st.none(), st.sets(st.integers(0, 9), min_size=1, max_size=2)),
-        zeroed=st.sets(st.integers(0, 9)),
+        levels=st.one_of(st.none(), st.sets(st.integers(0, 10), min_size=1, max_size=2)),
+        zeroed=st.sets(st.integers(0, 10)),
     )
     @example(d=6, seed=0, eta=0.8, levels={2, 5}, zeroed=set())  # M&M pattern: lags 0 and 3
     @example(d=6, seed=0, eta=1.0, levels={2, 5}, zeroed=set())
-    @example(d=4, seed=0, eta=0.8, levels=None, zeroed={0})
+    @example(d=6, seed=0, eta=0.8, levels={4}, zeroed=set())  # one level: lag 0 only
+    @example(d=9, seed=0, eta=0.7, levels=None, zeroed={1, 2, 5})  # gaps between lags
     def test_matches_kraus_sum(self, d, seed, eta, levels, zeroed):
-        # complex, non-symmetric diagonals catch a transposed or conjugated lag;
-        # states on one or two levels (the M&M pattern: lags 0 and delta only,
-        # zero at the lag's first site) and zeroed lags check that visiting
-        # only the occupied lags gives the same map as visiting all of them
-        g = np.random.default_rng(seed).normal(size=(2, d, d))
-        g = g[0] + 1j * g[1]
+        # real amplitudes of either sign on one or two levels (the M&M pattern:
+        # lags 0 and delta only) or with zeroed sites, so that some lags are
+        # unoccupied; the lags assembled into a matrix must give the Kraus-sum
+        # round trip at phi = 0, where the arm phase theta cancels
+        amps = np.random.default_rng(seed).normal(size=d)
         n = np.arange(d)
         if levels is not None:
-            g[~np.isin(n, [level % d for level in levels])] = 0.0
-        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
-        rho[np.isin(np.abs(n[:, None] - n), list(zeroed))] = 0.0
-        want = apply_channel(DensityMatrix(rho, check=False), loss_channel(eta, d)).mat
-        amp = _loss_amplitudes(d, eta)
-        for lags in ([k for k in range(d) if k not in zeroed], range(d)):
-            assert np.max(np.abs(_loss_map(rho, amp, lags) - want)) <= 1e-13
+            amps[~np.isin(n, [level % d for level in levels])] = 0.0
+        amps[np.isin(n, list(zeroed))] = 0.0
+        if not amps.any():
+            amps[-1] = 1.0
+        amps /= np.linalg.norm(amps)
+        lags = _round_trip(amps, eta)
+        assert list(lags) == _occupied_lags(amps).tolist()
+        assert all(lag.shape == (d - k,) for k, lag in lags.items())
+        oracle = roundtrip_oracle(FockVector(amps), RoundTripConfig(0.0, 0.37, eta, eta, d - 1))
+        assert np.max(np.abs(_from_lags(lags, d) - oracle.mat)) <= 1e-13
 
     @pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize(
@@ -137,10 +154,39 @@ class TestLossMap:
         ids=["mm", "no", "single-level", "sine"],
     )
     def test_round_trip_visits_occupied_lags(self, amps, lags, eta):
+        # the lags left out are exactly zero in the Kraus-sum output
         assert _occupied_lags(amps).tolist() == lags
-        amp, every = _loss_amplitudes(amps.size, eta), range(amps.size)
-        want = _loss_map(_loss_map(np.outer(amps, amps), amp, every)[::-1, ::-1], amp, every)
-        assert np.array_equal(_round_trip(amps, eta), want)
+        d = amps.size
+        got = _round_trip(amps, eta)
+        assert list(got) == lags
+        oracle = roundtrip_oracle(FockVector(amps), RoundTripConfig(0.0, 0.37, eta, eta, d - 1))
+        n = np.arange(d)
+        assert not oracle.mat[~np.isin(np.abs(n[:, None] - n), lags)].any()
+        assert np.max(np.abs(_from_lags(got, d) - oracle.mat)) <= 1e-13
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([2, 7, 61, 62, 182, 301]),
+        k_frac=st.floats(0.0, 1.0),
+        eta1=st.floats(0.05, 1.0),
+        eta2=st.floats(0.05, 1.0),
+    )
+    @example(d=301, k_frac=0.0, eta1=0.9, eta2=0.9)
+    @example(d=301, k_frac=17 / 300, eta1=0.292, eta2=0.1919)  # worst case found: 1.4e-12
+    @example(d=301, k_frac=1.0, eta1=0.2, eta2=0.2)  # the one entry underflows
+    def test_loss_composes_per_lag(self, d, k_frac, eta1, eta2):
+        # loss(eta2) after loss(eta1) is loss(eta1 * eta2), lag by lag, relative
+        # to the largest entry.  Rows above n = 60 take their binomials from
+        # log-gamma sums, which cost up to 1.4e-12 at d = 301 (exact binomials
+        # give 4e-14).  The table takes the root only after multiplying its
+        # factors, so a factor below the smallest normal double loses bits; that
+        # spoils only entries below sqrt(max binomial * tiny), and so atol.
+        k = round(k_frac * (d - 1))
+        want = _lag_weights(d, eta1 * eta2, k)
+        got = _lag_weights(d, eta2, k) @ _lag_weights(d, eta1, k)
+        rtol = 1e-12 if d <= 61 else 2e-12
+        atol = d * math.sqrt(binomial_table(d - 1).max() * np.finfo(float).tiny)
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)) + atol
 
     @pytest.mark.parametrize("eta", [0.5, 0.9, 0.9266, 1.0])
     @pytest.mark.parametrize("d", [2, 61, 62, 181, 182, 301, 1030])
@@ -156,7 +202,7 @@ class TestLossMap:
 
     @pytest.mark.parametrize("d, c_order", [(181, True), (182, False)])
     def test_table_memory_order_is_pinned(self, d, c_order):
-        # the last bits of _loss_map depend on the memory order of this table,
+        # the last bits of _round_trip depend on the memory order of this table,
         # and numpy gives C order up to d = 181 and F order from d = 182 on;
         # flipping it moves bytes of rows with m >= 181
         amp = _loss_amplitudes(d, 0.9)
@@ -284,9 +330,8 @@ class TestMmClosedForm:
         others = [(MmStateSpec(m, m // 3), eta) for m in range(2, 12) for eta in (0.7, 1.0)]
         for spec, eta in first + first[::-1] + others + first + [first[0]] * 2:
             co = mm_output_coefficients(spec, eta)
-            sigma = _round_trip(_mm_amplitudes(spec), eta)
-            for got, want in ((co.populations, np.diagonal(sigma)),
-                              (co.coherence, 2.0 * np.diagonal(sigma, spec.delta))):
+            lags = _round_trip(_mm_amplitudes(spec), eta)
+            for got, want in ((co.populations, lags[0]), (co.coherence, 2.0 * lags[spec.delta])):
                 assert not got.flags.writeable
                 assert got.dtype == want.dtype
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -117,6 +117,17 @@ class TestRowMachinery:
 
         assert holevo == pytest.approx(holevo_variance(rho0), abs=1e-14)
 
+    @pytest.mark.parametrize("eta", [0.5, 0.9])
+    @pytest.mark.parametrize("m", [6, 41, 180, 181, 300])
+    def test_lag_sums_equal_the_diagonal_sums_of_the_output_matrix(self, m, eta):
+        # bit for bit: the sweep's lag sums are the complex diagonal sums of the
+        # matrix that --validate checks; d >= 182 uses the F-order loss table
+        curve = _SineCurve(m, eta)
+        mat = optimal_state_output(m, eta, 0.0, check=False).mat
+        want = np.array([np.sum(np.diagonal(mat, k)) for k in range(m + 1)]).real
+        got = np.array([curve.trace, *curve.lag_sums])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_phase_shifted_output_equals_direct_closed_form(self):
         # the sweep exploits that the phi dependence is a Fock phase twist
         m, eta, phi = 5, 0.7, 0.83
@@ -372,6 +383,22 @@ def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
         "--n-min", "5", "--n-max", "100", "--n-step", "1", "--phi-grid", "720", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "mm_vs_n_eta09_mprime3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
+    # the large-n benchmark run at seed 0: the only rows with F-order loss
+    # tables (d >= 182); a regression pin, not reference-rounded
+    if threads is None:
+        monkeypatch.delenv("INTERF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("INTERF_THREADS", threads)
+    out = tmp_path / "large.csv"
+    assert cli_main([
+        "--family", "optimal", "--axis", "n", "--eta", "0.9", "--n-min", "25", "--n-max", "150",
+        "--n-step", "25", "--phi-grid", "720", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "optimal_vs_n_eta09_large.csv").read_bytes()
 
 
 class TestCsvFormatting:
