@@ -25,9 +25,9 @@ probe = optimal_phase_state(m)
 
 # --- theta cancellation -------------------------------------------------------
 print("output dependence on the absolute arm phase theta:")
-base = roundtrip_oracle(probe, RoundTripConfig(phi, 0.0, eta, eta, m))
+base = roundtrip_oracle(probe, RoundTripConfig(phi, 0.0, eta, eta))
 for theta in (0.3, 1.7, np.pi):
-    out = roundtrip_oracle(probe, RoundTripConfig(phi, theta, eta, eta, m))
+    out = roundtrip_oracle(probe, RoundTripConfig(phi, theta, eta, eta))
     print(f"  theta={theta:5.3f}: max deviation from theta=0 run "
           f"= {np.max(np.abs(out.mat - base.mat)):.2e}")
 
@@ -37,7 +37,7 @@ print(f"\nsine-state round trip vs oracle: "
       f"{np.max(np.abs(mapped.mat - base.mat)):.2e}")
 
 spec = MmStateSpec(7, 2)
-oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 0.9, eta, eta, spec.m))
+oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 0.9, eta, eta))
 mapped = mm_state_output(spec, eta, phi)
 print(f"two-component round trip vs oracle: "
       f"{np.max(np.abs(mapped.mat - oracle.mat)):.2e}")

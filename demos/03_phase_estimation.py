@@ -37,7 +37,7 @@ rho0 = optimal_state_output(m, eta, 0.0)
 
 def rms_at(true_phi):
     shifted = apply_phase(rho0, -true_phi)
-    return circular_rms(povm_distribution(shifted, m, true_phi=true_phi))
+    return circular_rms(povm_distribution(shifted, true_phi=true_phi))
 
 
 phi_star, best, avg = phase_error_summary(rms_at, 2 * math.pi)
@@ -53,8 +53,8 @@ print("   N    min RMS    Holevo     shot 1/sqrt(N eta)   Heisenberg 1/N")
 for mm in (4, 8, 16, 32, 60):
     rho0 = optimal_state_output(mm, eta, 0.0, check=False)
 
-    def rms(true_phi, _m=mm, _r=rho0):
-        return circular_rms(povm_distribution(apply_phase(_r, -true_phi), _m, true_phi=true_phi))
+    def rms(true_phi, _r=rho0):
+        return circular_rms(povm_distribution(apply_phase(_r, -true_phi), true_phi=true_phi))
 
     _, mn, _ = phase_error_summary(rms, 2 * math.pi, 360)
     n = mm / 2

@@ -6,10 +6,8 @@ config-file entries, which override the ``SweepConfig`` defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 3 I/O error.  The worker count is capped by the INTERF_THREADS
 environment variable, a non-negative integer (0 or unset picks
-automatically), checked for every family.  Only ``optimal`` sweeps
-use the worker pool: their rows spend most of their time in numpy
-calls that release the GIL, while the other families' rows are a
-pure-Python phase scan that a pool cannot overlap.
+automatically), checked for every family; the README says which
+families use the pool.
 """
 
 from __future__ import annotations

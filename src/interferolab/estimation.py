@@ -35,21 +35,18 @@ REFINE_TOL = 1e-6  # phase tolerance of the golden-section refinement
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Probabilities of the m+1 discrete phase outcomes.
+    """Probabilities of the d discrete phase outcomes, d = probs.size.
 
-    Outcome l sits at measurement phase 2*pi*l/(m+1) and estimates the
+    Outcome l sits at measurement phase 2*pi*l/d and estimates the
     interferometer phase as the negative of that value (mod 2*pi);
     ``true_phi`` records the phase actually imprinted on the state.
     """
 
-    m: int
     probs: np.ndarray
     true_phi: float
 
-    def __init__(self, m: int, probs, true_phi: float):
+    def __init__(self, probs, true_phi: float):
         probs = np.asarray(probs, dtype=float).reshape(-1)
-        if probs.size != m + 1:
-            raise ValueError(f"need {m + 1} probabilities, got {probs.size}")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}")
@@ -57,39 +54,36 @@ class OutcomeDistribution:
             raise ValueError(f"negative probability {probs.min()!r}")
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
-        object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "true_phi", float(true_phi))
 
     @property
     def outcome_phases(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.m + 1) / (self.m + 1)
+        d = self.probs.size
+        return 2.0 * np.pi * np.arange(d) / d
 
     @property
     def estimates(self) -> np.ndarray:
         return (-self.outcome_phases) % (2.0 * np.pi)
 
 
-def povm_distribution(rho: DensityMatrix, m: int, true_phi: float = 0.0) -> OutcomeDistribution:
-    """Project rho onto the m+1 discrete phase states.
+def povm_distribution(rho: DensityMatrix, true_phi: float = 0.0) -> OutcomeDistribution:
+    """Project rho onto the rho.dim discrete phase states.
 
     p(l) = <Phi_l| rho |Phi_l>; the projectors resolve the truncated
-    space, so the probabilities sum to one whenever rho is supported on
-    |0>..|m>.
+    space, so the probabilities sum to one.
     """
-    if rho.dim < m + 1:
-        raise ValueError(f"state dimension {rho.dim} below m+1 = {m + 1}")
-    block = rho.mat[: m + 1, : m + 1]
-    n = np.arange(m + 1)
-    basis = np.exp(1j * np.outer(n, 2.0 * np.pi * n / (m + 1)))  # column l = |Phi_l>
-    probs = np.einsum("nl,nm,ml->l", basis.conj(), block, basis).real / (m + 1)
-    return OutcomeDistribution(m, probs, true_phi)
+    d = rho.dim
+    n = np.arange(d)
+    basis = np.exp(1j * np.outer(n, 2.0 * np.pi * n / d))  # column l = |Phi_l>
+    probs = np.einsum("nl,nm,ml->l", basis.conj(), rho.mat, basis).real / d
+    return OutcomeDistribution(probs, true_phi)
 
 
 def optimal_outcome_distribution(m: int, eta: float, phi: float) -> OutcomeDistribution:
     """Outcome distribution of the sine-state round trip at phase phi:
     the round-trip output projected onto the discrete phase states."""
-    return povm_distribution(optimal_state_output(m, eta, phi, check=False), m, phi)
+    return povm_distribution(optimal_state_output(m, eta, phi, check=False), phi)
 
 
 def circular_distance(a, b):
@@ -119,23 +113,22 @@ def _holevo_dispersion(s: float) -> float:
     return math.sqrt(max(s**-2 - 1.0, 0.0)) if s else math.inf
 
 
-def mm_observable(m: int, m_prime: int, dim: int) -> np.ndarray:
+def mm_observable(m: int, m_prime: int) -> np.ndarray:
     """Hopping observable pairing |m-k> with |m_prime-k| for k = 0..m_prime.
 
-    Symmetric 0/1 matrix.  When m - m_prime <= m_prime the two index
-    families overlap and the dyads chain instead of forming disjoint
-    two-level blocks; that regime is built literally but flagged.
+    Symmetric 0/1 matrix on the m+1 levels |0>..|m>.  When
+    m - m_prime <= m_prime the two index families overlap and the dyads
+    chain instead of forming disjoint two-level blocks; that regime is
+    built literally but flagged.
     """
     if m <= m_prime or m_prime < 0:
         raise ValueError("need m > m_prime >= 0")
-    if dim < m + 1:
-        raise ValueError(f"dimension {dim} too small for m={m}")
     if m - m_prime <= m_prime:
         warnings.warn(
             "index families overlap (delta <= m_prime); observable chains basis states",
             stacklevel=2,
         )
-    a = np.zeros((dim, dim))
+    a = np.zeros((m + 1, m + 1))
     for k in range(m_prime + 1):
         a[m - k, m_prime - k] += 1.0
         a[m_prime - k, m - k] += 1.0
@@ -195,7 +188,7 @@ def mm_phase_error(sigma: DensityMatrix, spec: MmStateSpec, phi: float) -> float
     delta-th superdiagonal, giving the slope delta*coherence*sin without
     numerical differentiation.  Returns +inf at stationary points.
     """
-    a = mm_observable(spec.m, spec.m_prime, sigma.dim)
+    a = mm_observable(spec.m, spec.m_prime)
     mean_square = expectation(sigma, a @ a)
     coherence = 2.0 * abs(complex(np.sum(np.diagonal(sigma.mat, offset=spec.delta))))
     return _propagated_error(mean_square, coherence, spec.delta, phi)
@@ -300,7 +293,10 @@ def _noon_output(n: int, eta: float, phi: float) -> DensityMatrix:
     return apply_channel(rho, _noon_loss(n, eta))
 
 
-def noon_phase_error_brute(n: int, eta: float, phi: float, fd_step: float = 1e-6) -> float:
+_NOON_FD_STEP = 1e-6  # phase step of the central difference in noon_phase_error_brute
+
+
+def noon_phase_error_brute(n: int, eta: float, phi: float) -> float:
     """NOON error from explicit two-mode Kraus evolution.
 
     The slope of the observable mean is taken by central finite
@@ -310,9 +306,9 @@ def noon_phase_error_brute(n: int, eta: float, phi: float, fd_step: float = 1e-6
     rho = _noon_output(n, eta, phi)
     mean = expectation(rho, a)
     var = max(expectation(rho, a @ a) - mean**2, 0.0)
-    up = expectation(_noon_output(n, eta, phi + fd_step), a)
-    down = expectation(_noon_output(n, eta, phi - fd_step), a)
-    slope = abs(up - down) / (2.0 * fd_step)
+    up = expectation(_noon_output(n, eta, phi + _NOON_FD_STEP), a)
+    down = expectation(_noon_output(n, eta, phi - _NOON_FD_STEP), a)
+    slope = abs(up - down) / (2.0 * _NOON_FD_STEP)
     if slope == 0.0:
         return math.inf
     return math.sqrt(var) / slope

@@ -95,8 +95,8 @@ class FockVector:
     def mean_photon(self) -> float:
         return float(np.arange(self.dim) @ (np.abs(self.amps) ** 2))
 
-    def to_density(self, check: bool = False) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()), check=check)
+    def to_density(self) -> "DensityMatrix":
+        return DensityMatrix(np.outer(self.amps, self.amps.conj()), check=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +145,7 @@ class KrausChannel:
     kraus: tuple
     dim: int
 
-    def __init__(self, kraus, check: bool = True):
+    def __init__(self, kraus):
         mats = tuple(_frozen(k) for k in kraus)
         if not mats:
             raise ValueError("channel needs at least one Kraus matrix")
@@ -155,34 +155,26 @@ class KrausChannel:
                 raise ValueError("Kraus matrices must share a square shape")
         object.__setattr__(self, "kraus", mats)
         object.__setattr__(self, "dim", d)
-        if check:
-            comp = sum(k.conj().T @ k for k in mats)
-            dev = np.max(np.abs(comp - np.eye(d)))
-            if dev > KRAUS_TOL:
-                raise ValueError(f"Kraus completeness violated by {dev:.3e}")
+        comp = sum(k.conj().T @ k for k in mats)
+        dev = np.max(np.abs(comp - np.eye(d)))
+        if dev > KRAUS_TOL:
+            raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class PermutationUnitary:
-    """Fock-index reversal |n> -> |m-n> on indices 0..m, identity above."""
+    """Fock-index reversal |n> -> |dim-1-n> on a dim-level mode."""
 
-    m: int
     dim: int
 
-    def __init__(self, m: int, dim: int):
-        if m < 0:
-            raise ValueError("m must be non-negative")
-        if dim < m + 1:
-            raise ValueError(f"dimension {dim} too small for m={m}")
-        object.__setattr__(self, "m", int(m))
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
         object.__setattr__(self, "dim", int(dim))
 
     @property
     def perm(self) -> np.ndarray:
-        idx = np.arange(self.dim)
-        out = idx.copy()
-        out[: self.m + 1] = self.m - idx[: self.m + 1]
-        return out
+        return np.arange(self.dim)[::-1]
 
     def matrix(self) -> np.ndarray:
         u = np.zeros((self.dim, self.dim))
@@ -202,9 +194,9 @@ class PermutationUnitary:
         raise TypeError(f"cannot permute {type(state).__name__}")
 
 
-def permutation_unitary(m: int, dim: int) -> PermutationUnitary:
-    """Index-reversal unitary on 0..m inside a dim-dimensional space."""
-    return PermutationUnitary(m, dim)
+def permutation_unitary(dim: int) -> PermutationUnitary:
+    """Index-reversal unitary on a dim-level mode."""
+    return PermutationUnitary(dim)
 
 
 def apply_phase(state, phi: float):
@@ -252,14 +244,14 @@ def loss_channel(eta: float, dim: int) -> KrausChannel:
     return KrausChannel(mats)
 
 
-def apply_channel(rho: DensityMatrix, ch: KrausChannel, check: bool = False) -> DensityMatrix:
-    """Kraus-sum action sum_i K_i rho K_i^dag."""
+def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
+    """Kraus-sum action sum_i K_i rho K_i^dag (unchecked; validate where it matters)."""
     if rho.dim != ch.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, channel {ch.dim}")
     out = np.zeros_like(rho.mat)
     for k in ch.kraus:
         out += k @ rho.mat @ k.conj().T
-    return DensityMatrix(out, check=check)
+    return DensityMatrix(out, check=False)
 
 
 def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:

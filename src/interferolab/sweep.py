@@ -23,6 +23,7 @@ from .estimation import (
     _holevo_dispersion,
     _propagated_error,
     baselines,
+    circular_distance,
     mm_error_terms,
     phase_error_summary,
 )
@@ -42,10 +43,6 @@ class UsageError(Exception):
 
 class ValidationFailure(Exception):
     """Numerical validation did not pass; CSV was not written."""
-
-    def __init__(self, message: str, report_path: str = ""):
-        super().__init__(message)
-        self.report_path = report_path
 
 
 class MalformedComparisonError(Exception):
@@ -148,8 +145,6 @@ class CurvePoint:
 def format_float(x) -> str:
     if x is None:
         return ""
-    if math.isinf(x):
-        return "inf"
     return f"{x:.12g}"
 
 
@@ -232,7 +227,7 @@ class _SineCurve:
         phis = np.asarray(phis, dtype=float)
         p = (self.trace + 2.0 * (self._phased(phis) @ self.kernel.T).real) / self.d
         p = np.clip(p, 0.0, None)
-        dev = np.abs(np.mod(self.estimates - phis[..., None] + np.pi, TWO_PI) - np.pi)
+        dev = circular_distance(self.estimates, phis[..., None])
         # (1 x d) @ (d x 1): per phase, bitwise the same BLAS dot as a 1-D p @ dev**2
         return np.sqrt((p[..., None, :] @ dev[..., None] ** 2)[..., 0, 0])
 
@@ -366,13 +361,10 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     With ``cfg.validate`` set, the production outputs are first checked against
     the brute-force channel on a small subsample (top index capped at 8)
-    and nothing is written unless that passes.  Rows are independent.
-    Only ``optimal`` rows go to a thread pool (capped by INTERF_THREADS and
-    by the row count): their O(d^3) output spends most of its time in
-    numpy calls that release the GIL.  Rows of the other families are a
-    pure-Python phase scan that holds the GIL, so a pool cannot overlap
-    them and they run on the calling thread.  The file always lists rows
-    in ascending sweep order.
+    and nothing is written unless that passes.  Rows are independent;
+    which of them go to the thread pool is set out in the README (the
+    paragraph on INTERF_THREADS).  The file always lists rows in
+    ascending sweep order.
     With ``cfg.external_comparison_file`` set, that file is read before
     anything is written and its values fill the ``external`` column.
     """
@@ -401,8 +393,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
         if not report.passed:
             raise ValidationFailure(
                 f"production outputs vs the brute-force channel: max_dev={report.max_dev:.3e} "
-                f"not below tolerance {report.tolerance:.1e} (report: {txt})",
-                report_path=str(txt),
+                f"not below tolerance {report.tolerance:.1e} (report: {txt})"
             )
 
     if workers > 1 and cfg.state_family == "optimal":

@@ -79,7 +79,7 @@ def test_criterion_1_oracle_equivalence():
     for m in range(1, 9):
         for eta in (0.5, 0.9, 1.0):
             for phi in (0.0, 0.3, 1.2):
-                cfg = RoundTripConfig(phi, 0.37, eta, eta, m)
+                cfg = RoundTripConfig(phi, 0.37, eta, eta)
                 oracle = roundtrip_oracle(optimal_phase_state(m), cfg)
                 closed = optimal_state_output(m, eta, phi, check=False)
                 worst = max(worst, float(np.max(np.abs(closed.mat - oracle.mat))))
@@ -108,7 +108,7 @@ def test_criterion_2_arm_phase_cancellation():
         amps = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
         state = FockVector(amps, normalize=True)
         outs = [
-            roundtrip_oracle(state, RoundTripConfig(phi, theta, eta, eta, m)).mat
+            roundtrip_oracle(state, RoundTripConfig(phi, theta, eta, eta)).mat
             for theta in (0.0, 0.7, math.pi)
         ]
         worst = max(worst, float(np.max(np.abs(outs[1] - outs[0]))))
@@ -207,11 +207,9 @@ def test_criterion_7_channel_and_distribution_sanity():
         out = apply_channel(rho, loss_channel(eta, dim))
         ok &= abs(out.trace() - 1.0) < 1e-10
         ok &= float(np.linalg.eigvalsh(out.mat)[0]) > -1e-9
-        m = dim - 1
-        if m >= 1:
-            dist = povm_distribution(out, m)
-            ok &= abs(float(dist.probs.sum()) - 1.0) < 1e-10
-        u = permutation_unitary(m, dim).matrix()
+        dist = povm_distribution(out)
+        ok &= abs(float(dist.probs.sum()) - 1.0) < 1e-10
+        u = permutation_unitary(dim).matrix()
         ok &= np.array_equal(u @ u, np.eye(dim))
     elapsed = time.perf_counter() - started
     report(

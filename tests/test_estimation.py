@@ -37,14 +37,14 @@ class TestPovmDistribution:
     def test_projector_input_concentrates(self):
         m, l = 7, 3
         rho = pegg_barnett_vector(m, TWO_PI * l / (m + 1)).to_density()
-        dist = povm_distribution(rho, m)
+        dist = povm_distribution(rho)
         assert dist.probs[l] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.delete(dist.probs, l)) < 1e-12
 
     def test_maximally_mixed_is_uniform(self):
         m = 5
         rho = DensityMatrix(np.eye(m + 1) / (m + 1))
-        dist = povm_distribution(rho, m)
+        dist = povm_distribution(rho)
         assert np.max(np.abs(dist.probs - 1.0 / (m + 1))) < 1e-14
 
     def test_two_level_interference_pattern(self):
@@ -53,20 +53,16 @@ class TestPovmDistribution:
         amps = np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2)
         from interferolab import FockVector
 
-        dist = povm_distribution(FockVector(amps).to_density(), 1)
+        dist = povm_distribution(FockVector(amps).to_density())
         want = (1 + np.cos(phi - dist.outcome_phases)) / 2
         assert np.max(np.abs(dist.probs - want)) < 1e-12
 
-    def test_rejects_small_state(self):
-        with pytest.raises(ValueError):
-            povm_distribution(DensityMatrix(np.eye(3) / 3), 4)
-
     def test_distribution_invariants(self):
         with pytest.raises(ValueError, match="sum"):
-            OutcomeDistribution(1, [0.7, 0.7], 0.0)
+            OutcomeDistribution([0.7, 0.7], 0.0)
         with pytest.raises(ValueError, match="negative"):
-            OutcomeDistribution(1, [1.1, -0.1], 0.0)
-        d = OutcomeDistribution(1, [1.0 + 5e-13, -5e-13], 0.0)
+            OutcomeDistribution([1.1, -0.1], 0.0)
+        d = OutcomeDistribution([1.0 + 5e-13, -5e-13], 0.0)
         assert d.probs[1] == 0.0  # tiny negatives are clipped after the check
 
 
@@ -75,10 +71,10 @@ class TestClosedFormDistribution:
         m, phi = 4, 0.9
         from interferolab import optimal_phase_state, permutation_unitary
 
-        out = permutation_unitary(m, m + 1).apply(
+        out = permutation_unitary(m + 1).apply(
             apply_phase(optimal_phase_state(m), phi)
         )
-        want = povm_distribution(out.to_density(), m).probs
+        want = povm_distribution(out.to_density()).probs
         got = optimal_outcome_distribution(m, 1.0, phi)
         assert np.max(np.abs(got.probs - want)) < 1e-12
 
@@ -87,8 +83,8 @@ class TestClosedFormDistribution:
 
         m, eta, phi = 4, 0.9, 0.2
         got = optimal_outcome_distribution(m, eta, phi)
-        rho = roundtrip_oracle(optimal_phase_state(m), RoundTripConfig(phi, 0.0, eta, eta, m))
-        want = povm_distribution(rho, m, true_phi=phi)
+        rho = roundtrip_oracle(optimal_phase_state(m), RoundTripConfig(phi, 0.0, eta, eta))
+        want = povm_distribution(rho, true_phi=phi)
         assert np.max(np.abs(got.probs - want.probs)) < 1e-10
 
     @pytest.mark.parametrize("eta", [0.55, 0.9])
@@ -107,18 +103,18 @@ class TestCircularStatistics:
         probs = np.zeros(m + 1)
         probs[l] = 1.0
         est = (-TWO_PI * l / (m + 1)) % TWO_PI
-        assert circular_rms(OutcomeDistribution(m, probs, est)) == 0.0
+        assert circular_rms(OutcomeDistribution(probs, est)) == 0.0
 
     def test_uniform_approaches_circle_second_moment(self):
         m = 4999
-        dist = OutcomeDistribution(m, np.full(m + 1, 1.0 / (m + 1)), 0.3)
+        dist = OutcomeDistribution(np.full(m + 1, 1.0 / (m + 1)), 0.3)
         assert circular_rms(dist) == pytest.approx(math.sqrt(math.pi**2 / 3), abs=2e-3)
 
     def test_symmetric_pair_at_distance_eps(self):
         # outcomes at 0 and pi/2 estimate 0 and 3pi/2; true phase centered
         # between the estimates 0 and pi/2 is eps = pi/4 away from both
         probs = [0.5, 0.0, 0.0, 0.5]
-        dist = OutcomeDistribution(3, probs, math.pi / 4)
+        dist = OutcomeDistribution(probs, math.pi / 4)
         assert circular_rms(dist) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
@@ -164,33 +160,29 @@ class TestHolevoVariance:
 
 class TestMmObservable:
     def test_single_pair(self):
-        a = mm_observable(2, 0, 3)
+        a = mm_observable(2, 0)
         want = np.zeros((3, 3))
         want[2, 0] = want[0, 2] = 1.0
         assert np.array_equal(a, want)
 
     def test_symmetric_binary_when_disjoint(self):
-        a = mm_observable(9, 3, 10)
+        a = mm_observable(9, 3)
         assert np.array_equal(a, a.T)
         assert set(np.unique(a)) <= {0.0, 1.0}
 
     def test_pair_count_for_figure_configuration(self):
-        a = mm_observable(30, 10, 31)
+        a = mm_observable(30, 10)
         assert np.count_nonzero(a) == 22
 
     def test_warns_on_overlapping_families(self):
         with pytest.warns(UserWarning, match="overlap"):
-            mm_observable(5, 3, 6)
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
-            mm_observable(4, 1, 4)
+            mm_observable(5, 3)
 
     def test_noiseless_unit_mean(self):
         # 2x2 subspace: <A> = cos(delta * phi) -> 1 at phi = 0
         spec = MmStateSpec(6, 2)
         sigma = mm_state_output(spec, 1.0, 0.0)
-        a = mm_observable(spec.m, spec.m_prime, sigma.dim)
+        a = mm_observable(spec.m, spec.m_prime)
         assert expectation(sigma, a) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -216,7 +208,7 @@ class TestMmPhaseError:
         spec = MmStateSpec(m, data.draw(st.integers(0, m - 1), label="m_prime"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = mm_observable(spec.m, spec.m_prime, spec.m + 1)
+            a = mm_observable(spec.m, spec.m_prime)
         want = expectation(mm_state_output(spec, eta, 0.0, check=False), a @ a)
         got = mm_error_terms(spec, eta, 0.0).mean_square
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -241,7 +233,7 @@ class TestMmPhaseError:
         # analytic slope -delta * coherence * sin(delta*phi) vs central
         # differences of the observable mean, 20 random points
         spec, eta, h = MmStateSpec(9, 3), 0.85, 1e-6
-        a = mm_observable(spec.m, spec.m_prime, spec.m + 1)
+        a = mm_observable(spec.m, spec.m_prime)
         coherence = mm_error_terms(spec, eta, 0.0).coherence
         for phi in rng.uniform(0.1, 3.0, 20):
             up = expectation(mm_state_output(spec, eta, phi + h, check=False), a)
@@ -323,7 +315,7 @@ class TestLossMonotonicity:
         def min_rms(eta):
             def rms(phi):
                 rho = apply_phase(optimal_state_output(m, eta, 0.0, check=False), -phi)
-                return circular_rms(povm_distribution(rho, m, true_phi=phi))
+                return circular_rms(povm_distribution(rho, true_phi=phi))
 
             return phase_error_summary(rms, TWO_PI, 180)[1]
 

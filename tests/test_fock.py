@@ -56,7 +56,8 @@ class TestDensityMatrix:
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]])
 
     def test_from_pure(self):
-        rho = basis(4, 2).to_density(check=True)
+        rho = basis(4, 2).to_density()
+        rho.validate()
         assert rho.trace() == pytest.approx(1.0)
         assert rho.mat[2, 2] == pytest.approx(1.0)
 
@@ -143,6 +144,13 @@ class TestApplyChannel:
         ident = KrausChannel([np.eye(6)])
         assert np.max(np.abs(apply_channel(rho, ident).mat - rho.mat)) == 0.0
 
+    def test_channel_rejects_incomplete_kraus_set(self):
+        # every channel is checked: sum K^dag K = 1 - 0.75 misses by 0.25
+        from interferolab import KrausChannel
+
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel([0.5 * np.eye(3)])
+
     def test_vacuum_is_loss_invariant(self):
         rho = basis(4, 0).to_density()
         out = apply_channel(rho, loss_channel(0.4, 4))
@@ -174,13 +182,13 @@ class TestApplyChannel:
 
 class TestPermutationUnitary:
     def test_reversal_mapping(self):
-        u = permutation_unitary(2, 4)
-        for src, dst in [(0, 2), (1, 1), (2, 0), (3, 3)]:
+        u = permutation_unitary(4)
+        for src, dst in [(0, 3), (1, 2), (2, 1), (3, 0)]:
             out = u.apply(basis(4, src))
             assert out.amps[dst] == 1.0
 
     def test_involution_is_exact(self, random_state):
-        u = permutation_unitary(5, 9)
+        u = permutation_unitary(9)
         v = random_state(9)
         assert np.array_equal(u.apply(u.apply(v)).amps, v.amps)
         mat = u.matrix()
@@ -188,12 +196,14 @@ class TestPermutationUnitary:
         assert set(np.unique(mat)) <= {0.0, 1.0}
 
     def test_m_zero_is_identity(self):
-        u = permutation_unitary(0, 3)
-        assert np.array_equal(u.matrix(), np.eye(3))
+        # top index m = 0: the one level |0> maps to itself
+        u = permutation_unitary(1)
+        assert np.array_equal(u.matrix(), np.eye(1))
+        assert u.apply(basis(1, 0)).amps[0] == 1.0
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
-            permutation_unitary(4, 4)
+            permutation_unitary(0)
 
 
 class TestExpectation:

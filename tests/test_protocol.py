@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from interferolab import (
     RoundTripConfig,
     apply_phase,
     mm_error_terms,
+    mm_observable,
     mm_output_coefficients,
     mm_state,
     mm_state_output,
     optimal_phase_state,
     optimal_state_output,
     permutation_unitary,
+    povm_distribution,
     roundtrip_oracle,
     roundtrip_step,
     validate_closed_forms,
@@ -31,19 +34,19 @@ from interferolab.states import _mm_amplitudes, _sine_amplitudes
 class TestRoundTripConfig:
     def test_rejects_zero_transmissivity(self):
         with pytest.raises(ValueError):
-            RoundTripConfig(0.1, 0.0, 0.0, 0.9, 3)
+            RoundTripConfig(0.1, 0.0, 0.0, 0.9)
 
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ValueError):
-            RoundTripConfig(math.inf, 0.0, 0.9, 0.9, 3)
+            RoundTripConfig(math.inf, 0.0, 0.9, 0.9)
 
 
 class TestRoundTripOracle:
     def test_lossless_output_is_permuted_phased_input(self, random_state):
         m, phi = 6, 1.234
         psi = random_state(m + 1)
-        out = roundtrip_oracle(psi, RoundTripConfig(phi, 0.0, 1.0, 1.0, m))
-        ref = permutation_unitary(m, m + 1).apply(apply_phase(psi, phi))
+        out = roundtrip_oracle(psi, RoundTripConfig(phi, 0.0, 1.0, 1.0))
+        ref = permutation_unitary(m + 1).apply(apply_phase(psi, phi))
         assert np.max(np.abs(out.mat - ref.to_density().mat)) < 1e-12
         # rank-1 check
         eigs = np.linalg.eigvalsh(out.mat)
@@ -53,22 +56,18 @@ class TestRoundTripOracle:
     def test_arm_phase_cancels(self, theta, random_state):
         m = 5
         psi = random_state(m + 1)
-        base = roundtrip_oracle(psi, RoundTripConfig(0.41, 0.0, 0.8, 0.65, m))
-        out = roundtrip_oracle(psi, RoundTripConfig(0.41, theta, 0.8, 0.65, m))
+        base = roundtrip_oracle(psi, RoundTripConfig(0.41, 0.0, 0.8, 0.65))
+        out = roundtrip_oracle(psi, RoundTripConfig(0.41, theta, 0.8, 0.65))
         assert np.max(np.abs(out.mat - base.mat)) < 1e-12
 
     def test_vacuum_fixed_point(self):
         out = roundtrip_oracle(
-            FockVector([1.0]), RoundTripConfig(0.9, 0.2, 0.6, 0.8, 0)
+            FockVector([1.0]), RoundTripConfig(0.9, 0.2, 0.6, 0.8)
         )
         assert out.mat[0, 0] == pytest.approx(1.0)
 
-    def test_dimension_must_match_m(self, random_state):
-        with pytest.raises(ValueError):
-            roundtrip_oracle(random_state(4), RoundTripConfig(0.1, 0.0, 0.9, 0.9, 5))
-
     def test_output_is_valid_density_matrix(self, random_state):
-        out = roundtrip_oracle(random_state(8), RoundTripConfig(0.3, 1.1, 0.55, 0.9, 7))
+        out = roundtrip_oracle(random_state(8), RoundTripConfig(0.3, 1.1, 0.55, 0.9))
         out.validate()
 
     @settings(max_examples=60, deadline=None)
@@ -90,10 +89,49 @@ class TestRoundTripOracle:
         rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
 
         def two_rounds(p):
-            cfg = RoundTripConfig(p, theta, eta1, eta2, m)
+            cfg = RoundTripConfig(p, theta, eta1, eta2)
             return roundtrip_step(roundtrip_step(rho, cfg), cfg).mat
 
         assert np.max(np.abs(two_rounds(phi) - two_rounds(0.0))) <= 1e-12
+
+
+class TestDerivedSizes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        eta1=st.floats(0.05, 1.0),
+        eta2=st.floats(0.05, 1.0),
+        theta=st.floats(-math.pi, math.pi),
+        phi=st.floats(-math.pi, math.pi),
+        data=st.data(),
+    )
+    def test_sizes_come_from_the_input(self, d, seed, eta1, eta2, theta, phi, data):
+        # every size is read off the array passed in: the state's d levels
+        # fix the output, the outcome count and the reversal
+        amps = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, d))
+        out = roundtrip_oracle(FockVector(amps, normalize=True),
+                               RoundTripConfig(phi, theta, eta1, eta2))
+        assert out.dim == d
+        assert abs(out.trace() - 1.0) <= 1e-12
+        probs = povm_distribution(out, true_phi=phi).probs
+        assert probs.shape == (d,)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+        u = permutation_unitary(d)
+        assert np.array_equal(u.matrix() @ u.matrix(), np.eye(d))
+        for n in range(d):
+            assert u.apply(FockVector(np.eye(d)[n])).amps[d - 1 - n] == 1.0
+
+        if d >= 2:
+            m, m_prime = d - 1, data.draw(st.integers(0, d - 2), label="m_prime")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # overlapping index families
+                a = mm_observable(m, m_prime)
+            assert a.shape == (m + 1, m + 1)
+            assert np.array_equal(a, a.T)
+            assert set(np.unique(a)) <= {0.0, 1.0}
+            assert np.count_nonzero(a) == 2 * (m_prime + 1)
 
 
 def _from_lags(lags: dict, d: int) -> np.ndarray:
@@ -139,7 +177,7 @@ class TestLossMap:
         lags = _round_trip(amps, eta)
         assert list(lags) == _occupied_lags(amps).tolist()
         assert all(lag.shape == (d - k,) for k, lag in lags.items())
-        oracle = roundtrip_oracle(FockVector(amps), RoundTripConfig(0.0, 0.37, eta, eta, d - 1))
+        oracle = roundtrip_oracle(FockVector(amps), RoundTripConfig(0.0, 0.37, eta, eta))
         assert np.max(np.abs(_from_lags(lags, d) - oracle.mat)) <= 1e-13
 
     @pytest.mark.parametrize("eta", [0.5, 0.9, 1.0])
@@ -159,7 +197,7 @@ class TestLossMap:
         d = amps.size
         got = _round_trip(amps, eta)
         assert list(got) == lags
-        oracle = roundtrip_oracle(FockVector(amps), RoundTripConfig(0.0, 0.37, eta, eta, d - 1))
+        oracle = roundtrip_oracle(FockVector(amps), RoundTripConfig(0.0, 0.37, eta, eta))
         n = np.arange(d)
         assert not oracle.mat[~np.isin(np.abs(n[:, None] - n), lags)].any()
         assert np.max(np.abs(_from_lags(got, d) - oracle.mat)) <= 1e-13
@@ -223,13 +261,13 @@ class TestOptimalStateOutput:
     def test_lossless_limit_is_pure(self):
         m, phi = 5, 0.77
         got = optimal_state_output(m, 1.0, phi)
-        ref = permutation_unitary(m, m + 1).apply(apply_phase(optimal_phase_state(m), phi))
+        ref = permutation_unitary(m + 1).apply(apply_phase(optimal_phase_state(m), phi))
         assert np.max(np.abs(got.mat - ref.to_density().mat)) < 1e-12
 
     def test_matches_oracle(self):
         m, eta, phi = 2, 0.9, 0.3
         oracle = roundtrip_oracle(
-            optimal_phase_state(m), RoundTripConfig(phi, 0.55, eta, eta, m)
+            optimal_phase_state(m), RoundTripConfig(phi, 0.55, eta, eta)
         )
         assert np.max(np.abs(optimal_state_output(m, eta, phi).mat - oracle.mat)) < 1e-10
 
@@ -258,12 +296,12 @@ class TestMmStateOutput:
         want[0, delta] = 0.5 * np.exp(1j * delta * phi)
         got = mm_state_output(spec, 1.0, phi)
         assert np.max(np.abs(got.mat - want)) < 1e-12
-        oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 0.3, 1.0, 1.0, 5))
+        oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 0.3, 1.0, 1.0))
         assert np.max(np.abs(got.mat - oracle.mat)) < 1e-12
 
     def test_matches_oracle_with_loss(self):
         spec, eta, phi = MmStateSpec(3, 1), 0.8, 0.5
-        oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 1.7, eta, eta, 3))
+        oracle = roundtrip_oracle(mm_state(spec), RoundTripConfig(phi, 1.7, eta, eta))
         assert np.max(np.abs(mm_state_output(spec, eta, phi).mat - oracle.mat)) < 1e-10
 
     def test_diagonal_real_and_nonnegative(self):
@@ -378,5 +416,6 @@ class TestValidateClosedForms:
         assert "overall" in report.to_text()
 
     def test_lossless_column_is_exact(self):
-        report = validate_closed_forms(1, eta_grid=(1.0,), phi_grid=(0.0, 1.2))
-        assert report.max_dev < 1e-14
+        lossless = [c for c in validate_closed_forms(1).cells if c.eta == 1.0]
+        assert len(lossless) == 6  # 3 phases x (the sine state and the one M&M splitting)
+        assert max(c.max_dev for c in lossless) < 1e-14
