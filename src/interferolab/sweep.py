@@ -23,7 +23,6 @@ from .estimation import (
     _holevo_dispersion,
     _propagated_error,
     baselines,
-    circular_distance,
     mm_error_terms,
     phase_error_summary,
 )
@@ -176,7 +175,7 @@ class SweepSummary:
 
 
 SLOPE_SAMPLES = 64  # slope samples across the half-cell that bracket the minimiser
-PHASE_BLOCK_ELEMENTS = 64 * 301  # phases x d per RMS evaluation; bounds the block's arrays
+PHASE_BLOCK_ELEMENTS = 64 * 301  # phases x lags per RMS evaluation; bounds the block's arrays
 
 
 class _SineCurve:
@@ -188,6 +187,8 @@ class _SineCurve:
     the phi=0 output.  Those sums are real, so the RMS is even in phi
     and, with d = m+1 outcomes, 2*pi/d-periodic: its minimisers come as
     +-phi* + 2*pi*l/d, and the half-cell [0, pi/d] holds one of them.
+    The RMS and its slope are both read on that half-cell from one
+    closed-form series in the c_k, so no outcome probability is formed.
     """
 
     def __init__(self, m: int, eta: float):
@@ -197,15 +198,12 @@ class _SineCurve:
         self.d = d = m + 1
         self.lags = lags = np.arange(1, d)
         self.trace, self.lag_sums = float(sums[0]), np.array(sums[1:])
-        outcome = TWO_PI * np.arange(d) / d
-        self.kernel = np.exp(1j * np.outer(outcome, lags))
-        self.estimates = (-outcome) % TWO_PI
 
         # On the half-cell no outcome crosses distance pi, so outcome l deviates
         # by e_l - phi with e_l = 2*pi*s/d, s = -l wrapped into (-d/2, d/2].  Then
-        #   rms^2 = (T/d) sum_l (e_l - phi)^2 + (2/d) Re sum_k c_k e^{ik phi} (B_k - 2 phi A_k)
+        #   rms^2 = T (<e^2> - 2 phi <e> + phi^2) + (2/d) Re sum_k c_k e^{ik phi} (B_k - 2 phi A_k)
         # with A_k, B_k = sum_l (e_l, e_l^2) e^{2 pi i k l/d}, summed in closed form
-        # so that the slope keeps its accuracy where rms^2 is flattest.
+        # so that the RMS and its slope keep their accuracy where rms^2 is flattest.
         sin = np.sin(np.pi * lags / d)
         cot = np.cos(np.pi * lags / d) / sin
         sign = 1 - 2 * (lags % 2)
@@ -215,8 +213,11 @@ class _SineCurve:
             first, second = 1.0 + 1j * cot, 1.0 / sin**2
         a_k = np.pi * sign * first
         b_k = 2.0 * np.pi**2 / d * sign * second
-        self.coeffs = np.stack([1j * lags * b_k - 2.0 * a_k, -2j * lags * a_k], axis=1)
-        self.mean_offset = 0.0 if d % 2 else np.pi / d  # sum_l e_l / d: the outcome at +pi
+        self.value_coeffs = np.stack([b_k, -2.0 * a_k], axis=1)
+        self.slope_coeffs = np.stack([1j * lags * b_k - 2.0 * a_k, -2j * lags * a_k], axis=1)
+        self.mean_offset = 0.0 if d % 2 else np.pi / d  # <e>: the outcome at +pi
+        # <e^2>, from the mean of s^2: (d^2 - 1)/12 for odd d, (d^2 + 2)/12 for even d
+        self.mean_square_offset = np.pi**2 * (d * d + (-1 if d % 2 else 2)) / (3 * d * d)
 
     def _phased(self, phis: np.ndarray) -> np.ndarray:
         """Lag sums of the output at each phase, c_k e^{ik phi}: shape phis.shape + (d-1,)."""
@@ -224,17 +225,19 @@ class _SineCurve:
 
     def rms(self, phis) -> np.ndarray:
         """Circular RMS of the outcome estimates at each phase in phis."""
-        phis = np.asarray(phis, dtype=float)
-        p = (self.trace + 2.0 * (self._phased(phis) @ self.kernel.T).real) / self.d
-        p = np.clip(p, 0.0, None)
-        dev = circular_distance(self.estimates, phis[..., None])
-        # (1 x d) @ (d x 1): per phase, bitwise the same BLAS dot as a 1-D p @ dev**2
-        return np.sqrt((p[..., None, :] @ dev[..., None] ** 2)[..., 0, 0])
+        cell = TWO_PI / self.d
+        phis = np.asarray(phis, dtype=float) % cell
+        phis = np.minimum(phis, cell - phis)  # folded onto the half-cell [0, pi/d]
+        series = (self._phased(phis) @ self.value_coeffs).real
+        return np.sqrt(
+            self.trace * (self.mean_square_offset - 2.0 * phis * self.mean_offset + phis**2)
+            + 2.0 / self.d * (series[..., 0] + phis * series[..., 1])
+        )
 
     def rms2_slope(self, phis) -> np.ndarray:
         """phi-derivative of rms**2 at phases in [0, pi/d], one-sided at the ends."""
         phis = np.asarray(phis, dtype=float)
-        series = (self._phased(phis) @ self.coeffs).real
+        series = (self._phased(phis) @ self.slope_coeffs).real
         return (
             2.0 * self.trace * (phis - self.mean_offset)
             + 2.0 / self.d * (series[:, 0] + phis * series[:, 1])
@@ -267,7 +270,7 @@ class _SineCurve:
         else:
             # a fall off the kink counts only above the rounding bound of its sum
             scale = 2.0 * self.trace * self.mean_offset
-            scale += 2.0 / d * float(np.abs(self.lag_sums * self.coeffs[:, 0]).sum())
+            scale += 2.0 / d * float(np.abs(self.lag_sums * self.slope_coeffs[:, 0]).sum())
             if self.rms2_slope([0.0])[0] >= -d * np.finfo(float).eps * scale:
                 return 0.0
             lo = 0.0
@@ -281,14 +284,15 @@ class _SineCurve:
 
 
 def _optimal_fast_row(m: int, eta: float, grid_points: int):
-    """Error figures for the sine state from its phi = 0 output.
+    """Error figures for the sine state from the lag sums of its phi = 0 output.
 
     The reported phase is the minimiser folded into [0, pi/(m+1)] (see
     ``_SineCurve.folded_argmin``); every minimiser is
     +-argmin_phi + 2*pi*l/(m+1).  ``min_rms`` is the RMS there, not the
     lowest scan sample, which rounding noise biases low; ``avg_rms`` is
     the mean over ``grid_points`` equally spaced phases of one period,
-    evaluated in blocks of at most PHASE_BLOCK_ELEMENTS (phases x d).
+    each folded onto the half-cell by ``_SineCurve.rms`` and evaluated
+    in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
     """
     curve = _SineCurve(m, eta)
     grid = TWO_PI / grid_points * np.arange(grid_points)

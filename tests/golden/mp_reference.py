@@ -17,14 +17,12 @@ Takes about 15 s; run from the repository root:
 
     python3 tests/golden/mp_reference.py > tests/golden/optimal_vs_n_eta09_reference.csv
 
-With ``holevo``, prints the reference for the ``holevo`` column of the
-large-N golden sweep (optimal_vs_n_eta09_large.csv: eta = 0.9,
-N = 25..150 step 25, m = 2N up to 300).  S needs only the first
-off-diagonal of the output, and loss and the reversal map that lag onto
-itself, so the round trip is followed on those d - 1 numbers alone, at
-O(d^2) per loss instead of the O(d^3) of the full matrix (about 20 s):
+With ``large``, prints the same two columns for the large-N golden sweep
+(optimal_vs_n_eta09_large.csv: eta = 0.9, N = 25..150 step 25, m = 2N up
+to 300, so again every ``argmin_phi`` is 0).  The cost grows as d^3; the
+six rows take about 9 minutes of CPU time on one core:
 
-    python3 tests/golden/mp_reference.py holevo > tests/golden/optimal_vs_n_eta09_large_reference.csv
+    python3 tests/golden/mp_reference.py large > tests/golden/optimal_vs_n_eta09_large_reference.csv
 
 With ``mm``, checks that every ``mm_error`` cell of the two-component
 golden sweep (mm_vs_n_eta09_mprime3.csv: eta = 0.9, m_prime = 3, top
@@ -84,30 +82,6 @@ def row(m: int):
     return mp.sqrt(ms), mp.sqrt(1 / s**2 - 1)
 
 
-def loss_lag1(lag, eta):
-    """The loss channel on the first off-diagonal lag[a] = rho[a, a+1] alone:
-    out[a] = sum_i sqrt(C(a+i, a) C(a+1+i, a+1)) eta^(a+1/2) (1-eta)^i lag[a+i]."""
-    d = len(lag) + 1
-    root = [[mp.sqrt(mp.binomial(c, a)) for a in range(c + 1)] for c in range(d)]
-    lost = [(1 - eta) ** i for i in range(d)]
-    return [
-        mp.fsum(root[a + i][a] * root[a + 1 + i][a + 1] * lost[i] * lag[a + i] for i in range(d - 1 - a))
-        * eta ** (a + mp.mpf(1) / 2)
-        for a in range(d - 1)
-    ]
-
-
-def lag1_holevo(m: int):
-    """``holevo`` of the sine-state row with top index m, from the first lag only.
-
-    The reversal maps rho[a, a+1] to rho[m-a, m-a-1] = rho[m-1-a, m-a] (the
-    output is real and symmetric), so it reads the lag backwards."""
-    amps = sine_amplitudes(m)
-    lag = loss_lag1([amps[a] * amps[a + 1] for a in range(m)], ETA)
-    s = abs(mp.fsum(loss_lag1(lag[::-1], ETA)))
-    return mp.sqrt(1 / s**2 - 1)
-
-
 def mm_error(m: int, m_prime: int, eta):
     """The M&M state's least propagated phase error, from the triple sums."""
     delta = m - m_prime
@@ -151,13 +125,9 @@ def check_mm() -> int:
 def main() -> int:
     if sys.argv[1:] == ["mm"]:
         return check_mm()
-    if sys.argv[1:] == ["holevo"]:
-        print("sweep,holevo")
-        for n in range(25, 151, 25):
-            print(f"{n},{mp.nstr(lag1_holevo(2 * n), DIGITS, strip_zeros=False)}")
-        return 0
+    sweeps = range(25, 151, 25) if sys.argv[1:] == ["large"] else range(2, 31)
     print("sweep,min_rms,holevo")
-    for n in range(2, 31):
+    for n in sweeps:
         min_rms, holevo = row(2 * n)
         print(f"{n},{mp.nstr(min_rms, DIGITS, strip_zeros=False)},{mp.nstr(holevo, DIGITS, strip_zeros=False)}")
     return 0

@@ -166,6 +166,15 @@ class TestFoldedArgmin:
         here = public_rms(m, eta, phi)
         assert public_rms(m, eta, phi + TWO_PI / (m + 1)) == pytest.approx(here, rel=1e-12)
         assert public_rms(m, eta, -phi) == pytest.approx(here, rel=1e-12)
+        # the fast route folds phi onto [0, pi/(m+1)] before it evaluates the series
+        assert _SineCurve(m, eta).rms(phi) == pytest.approx(here, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("eta", [0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("m", [181, 300])
+    def test_rms_is_accurate_at_large_m(self, m, eta):
+        curve = _SineCurve(m, eta)
+        for phi in (0.0, 0.4 * math.pi / (m + 1), -2.0, 7.0):
+            assert curve.rms(phi) == pytest.approx(public_rms(m, eta, phi), rel=2e-11, abs=0.0), phi
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 16), eta=st.floats(0.05, 1.0), frac=st.floats(0.05, 0.95))
@@ -356,18 +365,31 @@ class TestRunSweep:
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def test_golden_cells_are_the_reference_correctly_rounded():
-    # reference: tests/golden/mp_reference.py, 40 digits in mpmath
-    with open(GOLDEN_DIR / "optimal_vs_n_eta09_reference.csv", encoding="utf-8") as fh:
+def assert_golden_is_the_reference_correctly_rounded(golden_name, reference_name, columns):
+    with open(GOLDEN_DIR / reference_name, encoding="utf-8") as fh:
         ref = {row["sweep"]: row for row in csv.DictReader(fh)}
-    with open(GOLDEN_DIR / "optimal_vs_n_eta09_default.csv", encoding="utf-8") as fh:
+    with open(GOLDEN_DIR / golden_name, encoding="utf-8") as fh:
         golden = list(csv.DictReader(fh))
     assert [row["sweep"] for row in golden] == list(ref)
     twelve = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
     for row in golden:
-        for col in ("min_rms", "holevo"):
+        for col in columns:
             want = twelve.plus(decimal.Decimal(ref[row["sweep"]][col]))
             assert decimal.Decimal(row[col]) == want, (row["sweep"], col)
+
+
+def test_golden_cells_are_the_reference_correctly_rounded():
+    # reference: tests/golden/mp_reference.py, 40 digits in mpmath
+    assert_golden_is_the_reference_correctly_rounded(
+        "optimal_vs_n_eta09_default.csv", "optimal_vs_n_eta09_reference.csv", ("min_rms", "holevo")
+    )
+
+
+def test_large_golden_min_rms_is_the_reference_correctly_rounded():
+    # reference: tests/golden/mp_reference.py large, 40 digits in mpmath
+    assert_golden_is_the_reference_correctly_rounded(
+        "optimal_vs_n_eta09_large.csv", "optimal_vs_n_eta09_large_reference.csv", ("min_rms",)
+    )
 
 
 @pytest.mark.parametrize("threads", ["1", None, "3"])
@@ -388,7 +410,7 @@ def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", None])
 def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
     # the large-n benchmark run at seed 0: the only rows with F-order loss
-    # tables (d >= 182); a regression pin, not reference-rounded
+    # tables (d >= 182); min_rms is reference-rounded, holevo is not
     if threads is None:
         monkeypatch.delenv("INTERF_THREADS", raising=False)
     else:
@@ -402,7 +424,7 @@ def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
 
 
 def test_large_golden_holevo_is_near_the_reference():
-    # reference: tests/golden/mp_reference.py holevo, 40 digits in mpmath; the
+    # reference: tests/golden/mp_reference.py large, 40 digits in mpmath; the
     # cells are not correctly rounded (log-gamma binomials above n = 60), and
     # the largest gap, at m = 300, is 7.8e-11
     with open(GOLDEN_DIR / "optimal_vs_n_eta09_large_reference.csv", encoding="utf-8") as fh:
