@@ -214,11 +214,11 @@ def _golden_section(fn, lo: float, hi: float, xtol: float):
 
 
 def phase_error_summary(error_fn, period: float, grid_points: int = 720):
-    """Scan one period on a uniform grid, refine the best cell, average the rest.
+    """Reference scanner: scan one period on a uniform grid, refine the best cell.
 
-    Returns (phi_star, min_value, grid_average); non-finite grid samples
-    are left out of the average.  Raises ValueError if the function is
-    non-finite everywhere.
+    Returns (phi_star, min_value, grid_average), leaving non-finite samples
+    out of the average; raises ValueError if the function is non-finite
+    everywhere.  Tests and demos check closed-form minima against it.
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")

@@ -140,23 +140,22 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Completely positive trace-preserving map as a list of Kraus matrices."""
+    """Completely positive trace-preserving map; ``kraus`` stacks its matrices."""
 
-    kraus: tuple
+    kraus: np.ndarray
     dim: int
 
     def __init__(self, kraus):
-        mats = tuple(_frozen(k) for k in kraus)
+        mats = [np.asarray(k) for k in kraus]
         if not mats:
             raise ValueError("channel needs at least one Kraus matrix")
         d = mats[0].shape[0]
-        for k in mats:
-            if k.shape != (d, d):
-                raise ValueError("Kraus matrices must share a square shape")
-        object.__setattr__(self, "kraus", mats)
+        if any(k.shape != (d, d) for k in mats):
+            raise ValueError("Kraus matrices must share a square shape")
+        stack = _frozen(mats)
+        object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "dim", d)
-        comp = sum(k.conj().T @ k for k in mats)
-        dev = np.max(np.abs(comp - np.eye(d)))
+        dev = np.max(np.abs((stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0) - np.eye(d)))
         if dev > KRAUS_TOL:
             raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
@@ -245,13 +244,11 @@ def loss_channel(eta: float, dim: int) -> KrausChannel:
 
 
 def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    """Kraus-sum action sum_i K_i rho K_i^dag (unchecked; validate where it matters)."""
+    """Kraus-sum action sum_i K_i rho K_i^dag, batched (unchecked; validate where it matters)."""
     if rho.dim != ch.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, channel {ch.dim}")
-    out = np.zeros_like(rho.mat)
-    for k in ch.kraus:
-        out += k @ rho.mat @ k.conj().T
-    return DensityMatrix(out, check=False)
+    k = ch.kraus
+    return DensityMatrix((k @ rho.mat @ k.conj().transpose(0, 2, 1)).sum(axis=0), check=False)
 
 
 def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:

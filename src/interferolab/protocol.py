@@ -115,6 +115,17 @@ def _round_trip(amps: np.ndarray, eta: float) -> dict:
     return lags
 
 
+@functools.lru_cache(maxsize=16)
+def _sine_output_lags(m: int, eta: float) -> tuple:
+    """Lags 0..m of the sine-state round trip, read-only and memoised per
+    (m, eta) for the validation gate's phases; the sweep's rows call
+    ``_round_trip`` directly, so their O(d^2) lag sets are not retained."""
+    lags = tuple(_round_trip(_sine_amplitudes(m), eta).values())
+    for lag in lags:
+        lag.setflags(write=False)
+    return lags
+
+
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:
     """Round-trip output for the optimal phase state, as a d x d matrix.
 
@@ -130,7 +141,7 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
         raise ValueError("phi must be finite")
     n = np.arange(m + 1)
     rho = np.zeros((m + 1, m + 1))
-    for k, lag in _round_trip(_sine_amplitudes(m), eta).items():
+    for k, lag in enumerate(_sine_output_lags(m, eta)):
         rho[n[: m + 1 - k], n[k:]] = rho[n[k:], n[: m + 1 - k]] = lag
     twist = np.exp(-1j * phi * n)
     return DensityMatrix(rho * np.outer(twist, twist.conj()), check=check)

@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import (
-    _holevo_dispersion,
-    _propagated_error,
-    baselines,
-    mm_error_terms,
-    phase_error_summary,
-)
+from .estimation import _holevo_dispersion, _propagated_error, baselines, mm_error_terms
 from .protocol import ValidationReport, _round_trip, validate_closed_forms
 from .states import MmStateSpec, _sine_amplitudes
 
@@ -305,25 +299,22 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int):
     return float(curve.rms(phi_star)), phi_star, avg, holevo
 
 
-def _mm_row(spec: MmStateSpec, eta: float, grid_points: int):
-    """Minimized propagated error for the two-component state.
+def _mm_row(spec: MmStateSpec, eta: float):
+    """Least propagated error of the two-component state, and its phase.
 
-    The observable's mean square and the coherence amplitude are phase
-    independent, so they are computed once and only the trigonometric
-    error-propagation formula is scanned over phi.  That error is even in
-    phi and pi/delta-periodic, and sin(delta*phi)**2 = 1 minimises it, so
-    the reported phase is pi/(2*delta): the minimiser folded into
-    [0, pi/(2*delta)].  Where the curve is flat (mean_square equal to
-    coherence**2, as at eta = 1) the same point is reported by convention.
+    The mean square MS and coherence C of the observable do not depend on
+    phi, and the error sqrt(MS - C**2 + (C sin)**2) / (delta |C sin|), with
+    sin = sin(delta*phi), falls as |sin| grows: it is least, sqrt(MS)/(delta |C|),
+    at pi/(2*delta), the minimiser folded into [0, pi/(2*delta)] (and reported
+    by convention where the curve is flat, as at eta = 1).  A non-finite error
+    raises ValueError.
     """
     terms = mm_error_terms(spec, eta, 0.0)
-    mean_square, coherence, delta = terms.mean_square, terms.coherence, spec.delta
-
-    def err_at(phi: float) -> float:
-        return _propagated_error(mean_square, coherence, delta, phi)
-
-    _, best, _ = phase_error_summary(err_at, TWO_PI / delta, grid_points)
-    return best, math.pi / (2 * delta)
+    phi_star = math.pi / (2 * spec.delta)
+    best = _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi_star)
+    if not math.isfinite(best):
+        raise ValueError(f"propagated error is {best} at phi = pi/(2*delta)")
+    return best, phi_star
 
 
 def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
@@ -345,7 +336,7 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
             point = replace(point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
         elif cfg.state_family in ("mm", "no"):
             m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
-            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta, cfg.phi_grid_points)
+            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta)
             point = replace(point, mm_error_min=best, argmin_phi=phi_star)
     except ValueError as exc:  # the configuration passed check(), so the numbers broke down
         raise ValidationFailure(f"sweep={format_float(value)} (top index {m}): {exc}") from exc

@@ -32,6 +32,12 @@ closed form sqrt(MS) / (delta C) at delta*phi = pi/2, with the mean
 square MS and coherence C summed from the M&M output's triple sums:
 
     python3 tests/golden/mp_reference.py mm
+
+With ``mm-off-grid``, prints the same 40-digit ``mm_error`` for a sweep
+whose --phi-grid of 90 points misses delta*phi = pi/2 (eta = 0.5,
+m_prime = 4, N = 5..40, top index m = 2N - 4); takes about 1 s:
+
+    python3 tests/golden/mp_reference.py mm-off-grid > tests/golden/mm_vs_n_eta05_mprime4_reference.csv
 """
 
 from __future__ import annotations
@@ -125,6 +131,11 @@ def check_mm() -> int:
 def main() -> int:
     if sys.argv[1:] == ["mm"]:
         return check_mm()
+    if sys.argv[1:] == ["mm-off-grid"]:
+        print("sweep,mm_error")
+        for n in range(5, 41):
+            print(f"{n},{mp.nstr(mm_error(2 * n - 4, 4, mp.mpf(0.5)), DIGITS, strip_zeros=False)}")
+        return 0
     sweeps = range(25, 151, 25) if sys.argv[1:] == ["large"] else range(2, 31)
     print("sweep,min_rms,holevo")
     for n in sweeps:

@@ -151,6 +151,19 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel([0.5 * np.eye(3)])
 
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 0.9, 1.0])
+    def test_batched_product_matches_the_kraus_loop(self, eta, random_density):
+        from interferolab import two_mode_loss_channel
+
+        channels = [loss_channel(eta, d) for d in range(1, 13)]
+        channels += [two_mode_loss_channel(eta, 0.6, dims) for dims in [(2, 3), (3, 4), (4, 3), (2, 6)]]
+        for ch in channels:
+            rho = random_density(ch.dim)
+            want = np.zeros_like(rho.mat)
+            for k in ch.kraus:
+                want += k @ rho.mat @ k.conj().T
+            assert np.max(np.abs(apply_channel(rho, ch).mat - want)) <= 1e-15
+
     def test_vacuum_is_loss_invariant(self):
         rho = basis(4, 0).to_density()
         out = apply_channel(rho, loss_channel(0.4, 4))

@@ -27,7 +27,7 @@ from interferolab import (
     validate_closed_forms,
 )
 from interferolab.fock import binomial_table
-from interferolab.protocol import _loss_amplitudes, _occupied_lags, _round_trip
+from interferolab.protocol import _loss_amplitudes, _occupied_lags, _round_trip, _sine_output_lags
 from interferolab.states import _mm_amplitudes, _sine_amplitudes
 
 
@@ -387,6 +387,31 @@ class TestMmClosedForm:
         mm_output_coefficients.cache_clear()
         validate_closed_forms(8)
         assert len(built) == 63
+
+    def test_validation_gate_runs_one_sine_round_trip_per_m_and_eta(self, monkeypatch):
+        # 8 values of m times 3 transmissivities; the 3 phases share the lags
+        built = []
+
+        def counting(m):
+            built.append(m)
+            return _sine_amplitudes(m)
+
+        monkeypatch.setattr(protocol_mod, "_sine_amplitudes", counting)
+        _sine_output_lags.cache_clear()
+        validate_closed_forms(8)
+        assert len(built) == 24
+
+    def test_sine_lags_are_read_only_and_equal_a_fresh_round_trip(self):
+        _sine_output_lags.cache_clear()
+        for m, eta in [(8, 0.9), (8, 0.5), (8, 0.9), (3, 1.0)]:
+            lags = _sine_output_lags(m, eta)
+            want = _round_trip(_sine_amplitudes(m), eta)
+            assert len(lags) == len(want) == m + 1
+            for k, lag in enumerate(lags):
+                assert not lag.flags.writeable
+                assert np.array_equal(lag.view(np.uint64), want[k].view(np.uint64))
+            with pytest.raises(ValueError):
+                lags[0][0] = 1.0
 
     @pytest.mark.parametrize("m", [100, 197, 300])
     @pytest.mark.parametrize("mp, eta", [(3, 0.9), (3, 0.5), (0, 0.9), (4, 0.97)])

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import interferolab.sweep as sweep_mod
 from interferolab import (
     CSV_HEADER,
+    MmErrorTerms,
     MmStateSpec,
     SweepConfig,
     UsageError,
@@ -20,6 +21,7 @@ from interferolab import (
     apply_phase,
     circular_rms,
     emit_gnu_plot_script,
+    mm_error_terms,
     mm_phase_error,
     mm_state_output,
     optimal_outcome_distribution,
@@ -29,6 +31,7 @@ from interferolab import (
     run_sweep,
 )
 from interferolab.cli import main as cli_main
+from interferolab.estimation import _propagated_error
 from interferolab.sweep import (
     CurvePoint,
     _mm_row,
@@ -137,7 +140,7 @@ class TestRowMachinery:
 
     def test_mm_row_matches_pointwise_error(self):
         spec, eta, grid = MmStateSpec(8, 2), 0.8, 120
-        best, phi_star = _mm_row(spec, eta, grid)
+        best, phi_star = _mm_row(spec, eta)
         period = TWO_PI / spec.delta
 
         def err(phi):
@@ -150,6 +153,41 @@ class TestRowMachinery:
         assert 0.0 <= phi_star <= period / 4
         assert err(phi_star) == pytest.approx(best, rel=1e-10)
         assert err(phi_star) <= min(samples) + 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 60),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        eta=st.floats(0.3, 1.0, exclude_min=True),
+    )
+    @example(m=17, frac=0.0, eta=1.0)  # flat curve: the scan lands an ulp lower
+    @example(m=38, frac=0.33, eta=0.9999999)
+    def test_mm_row_is_the_scanned_minimum_in_closed_form(self, m, frac, eta):
+        # the reference scanner samples 720 phases of one period and refines
+        # the best cell; the closed form at pi/(2*delta) is not above it, save
+        # for the last bits where the curve is flat to rounding (eta near 1:
+        # up to 2 ulps seen over m <= 60)
+        spec = MmStateSpec(m, int(frac * m))
+        best, phi_star = _mm_row(spec, eta)
+        assert phi_star == math.pi / (2 * spec.delta)
+        terms = mm_error_terms(spec, eta, 0.0)
+
+        def err(phi):
+            return _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi)
+
+        _, scanned, _ = phase_error_summary(err, TWO_PI / spec.delta, 720)
+        assert best == pytest.approx(scanned, rel=1e-12, abs=0.0)
+        assert best <= scanned + 4 * math.ulp(scanned)
+
+    def test_non_finite_mm_error_fails_the_run(self, tmp_path, monkeypatch):
+        # no coherence left: the error is infinite at every phase
+        monkeypatch.setattr(sweep_mod, "mm_error_terms", lambda spec, eta, phi: MmErrorTerms(
+            0.5, 0.0, spec.delta, phi))
+        with pytest.raises(ValueError, match="propagated error"):
+            _mm_row(MmStateSpec(8, 2), 0.9)
+        with pytest.raises(ValidationFailure, match="propagated error"):
+            run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0)))
+        assert not (tmp_path / "out.csv").exists()
 
 
 def public_rms(m, eta, phi):
@@ -220,7 +258,7 @@ class TestFoldedArgmin:
     @pytest.mark.parametrize("eta", [0.6, 0.95, 1.0])
     def test_mm_reports_quarter_period_off_the_grid(self, spec, eta):
         # a 90-point grid misses delta*phi = pi/2; the reported phase does not
-        best, phi_star = _mm_row(spec, eta, 90)
+        best, phi_star = _mm_row(spec, eta)
         assert phi_star == math.pi / (2 * spec.delta)
 
         def err(phi):
@@ -405,6 +443,39 @@ def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
         "--n-min", "5", "--n-max", "100", "--n-step", "1", "--phi-grid", "720", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "mm_vs_n_eta09_mprime3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("family", ["mm", "no"])
+def test_mm_rows_do_not_depend_on_the_phase_grid(family, tmp_path):
+    outs = []
+    for grid in (4, 90, 720):
+        outs.append(tmp_path / f"{family}-{grid}.csv")
+        assert cli_main([
+            "--family", family, "--eta", "0.7", "--n-min", "5", "--n-max", "20",
+            "--phi-grid", str(grid), "--out", str(outs[-1]),
+        ]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+def test_off_grid_mm_error_is_the_reference_correctly_rounded(tmp_path):
+    # a 90-point grid misses delta*phi = pi/2 on every row; reference:
+    # tests/golden/mp_reference.py mm-off-grid, 40 digits in mpmath
+    out = tmp_path / "mm.csv"
+    assert cli_main([
+        "--family", "mm", "--m-prime", "4", "--eta", "0.5", "--n-min", "5", "--n-max", "40",
+        "--phi-grid", "90", "--out", str(out),
+    ]) == 0
+    # an absolute path overrides GOLDEN_DIR
+    assert_golden_is_the_reference_correctly_rounded(
+        str(out), "mm_vs_n_eta05_mprime4_reference.csv", ("mm_error",)
+    )
+    with open(out, encoding="utf-8") as fh:
+        cells = {row["sweep"]: row["mm_error"] for row in csv.DictReader(fh)}
+    # cells where a grid scan refined by golden section (tolerance 1e-6 in
+    # phi) misses the 12th digit
+    assert cells["20"] == "26079.5832537"
+    assert cells["33"] == "9416144861.12"
+    assert cells["40"] == "1.17437248555e+13"
 
 
 @pytest.mark.parametrize("threads", ["1", None])
