@@ -11,7 +11,6 @@ from a scan over phi.
 import math
 
 from interferolab import (
-    MmErrorTerms,
     MmStateSpec,
     baselines,
     mm_error_terms,
@@ -27,9 +26,8 @@ TWO_PI = 2 * math.pi
 print("noiseless minima (min over phi of the propagated error):")
 for n in (2, 5, 10):
     spec = MmStateSpec(2 * n, 0)  # pair |2N>, |0>
-    base = mm_error_terms(spec, 1.0, 0.0)
-    fn = lambda phi: mm_phase_error_closed(
-        MmErrorTerms(base.mean_square, base.coherence, base.delta, phi))
+    terms = mm_error_terms(spec, 1.0)
+    fn = lambda phi: mm_phase_error_closed(terms, phi)
     _, err, _ = phase_error_summary(fn, TWO_PI / spec.delta)
     print(f"  N={n:2d}: single-mode pair {err:.6f}  vs  NOON {1 / n:.6f}"
           f"  (ratio {err * n:.3f})")
@@ -38,7 +36,7 @@ for n in (2, 5, 10):
 spec, eta, phi = MmStateSpec(9, 3), 0.85, 0.21
 sigma = mm_state_output(spec, eta, phi)
 via_matrix = mm_phase_error(sigma, spec, phi)
-via_terms = mm_phase_error_closed(mm_error_terms(spec, eta, phi))
+via_terms = mm_phase_error_closed(mm_error_terms(spec, eta), phi)
 print(f"\nmatrix route {via_matrix:.10f}  closed route {via_terms:.10f}"
       f"  (diff {abs(via_matrix - via_terms):.2e})")
 
@@ -47,9 +45,8 @@ print(f"\nminimized error vs transmissivity for M=30, M'=10 (N=20):")
 spec = MmStateSpec(30, 10)
 print("   eta    min error   argmin phi     NOON baseline   shot noise")
 for eta in (1.0, 0.95, 0.9, 0.8, 0.7):
-    base = mm_error_terms(spec, eta, 0.0)
-    fn = lambda phi: mm_phase_error_closed(
-        MmErrorTerms(base.mean_square, base.coherence, base.delta, phi))
+    terms = mm_error_terms(spec, eta)
+    fn = lambda phi: mm_phase_error_closed(terms, phi)
     phi_star, err, _ = phase_error_summary(fn, TWO_PI / spec.delta)
     refs = baselines(spec.n_avg, eta)
     print(f"  {eta:4.2f}   {err:.6f}   {phi_star:10.6f}   {refs.noon_error:13.6f}"

@@ -33,7 +33,6 @@ from .states import (
     two_mode_phase,
 )
 from .protocol import (
-    MmOutputCoefficients,
     RoundTripConfig,
     ValidationReport,
     mm_output_coefficients,

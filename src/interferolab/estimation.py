@@ -2,9 +2,9 @@
 
 Covers the discrete Pegg-Barnett outcome distribution and its circular
 RMS, the Holevo variance of the continuous phase distribution, the
-two-component hopping observable with error propagation, minimization
-and averaging over the interferometer phase, and the shot-noise /
-Heisenberg / lossy-NOON reference curves.
+two-component hopping observable with error propagation (its sums read
+off the round trip's lags, the phase given per call), the reference
+phase scanner, and the shot-noise / Heisenberg / lossy-NOON references.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, apply_channel, expectation
+from .fock import DensityMatrix, _check_eta, apply_channel, expectation
 from .protocol import mm_output_coefficients, optimal_state_output
 from .states import (
     MmStateSpec,
@@ -140,13 +140,13 @@ class MmErrorTerms:
     """Scalar ingredients of the closed-form error propagation.
 
     ``mean_square`` is the expected square of the hopping observable and
-    ``coherence`` the amplitude of its cos(delta*phi) mean oscillation.
+    ``coherence`` the amplitude of its cos(delta*phi) mean oscillation;
+    neither depends on phi.
     """
 
     mean_square: float
     coherence: float
     delta: int
-    phi: float
 
     def __post_init__(self):
         if self.mean_square < 0.0:
@@ -155,13 +155,15 @@ class MmErrorTerms:
             raise ValueError("coherence amplitude cannot exceed 1")
 
 
-def mm_error_terms(spec: MmStateSpec, eta: float, phi: float) -> MmErrorTerms:
-    """Error-propagation ingredients from the output-state coefficients."""
-    co = mm_output_coefficients(spec, eta)
+def mm_error_terms(spec: MmStateSpec, eta: float) -> MmErrorTerms:
+    """Error-propagation ingredients from the lags of the round-trip output:
+    MS sums the observable's site populations, C twice the lag-delta sum."""
+    lags = mm_output_coefficients(spec, eta)
+    populations, delta = lags[0], spec.delta
     mean_square = 0.0
     for k in range(spec.m_prime + 1):
-        mean_square += co.populations[k] + co.populations[k + co.delta]
-    return MmErrorTerms(float(mean_square), float(co.coherence.sum()), co.delta, phi)
+        mean_square += populations[k] + populations[k + delta]
+    return MmErrorTerms(float(mean_square), float(2.0 * lags[delta].sum()), delta)
 
 
 def _propagated_error(mean_square: float, coherence: float, delta: int, phi: float) -> float:
@@ -175,9 +177,9 @@ def _propagated_error(mean_square: float, coherence: float, delta: int, phi: flo
     return math.sqrt(var) / slope
 
 
-def mm_phase_error_closed(terms: MmErrorTerms) -> float:
-    """Propagated phase error sqrt(MS - cos^2 * C^2) / (delta |sin * C|)."""
-    return _propagated_error(terms.mean_square, terms.coherence, terms.delta, terms.phi)
+def mm_phase_error_closed(terms: MmErrorTerms, phi: float) -> float:
+    """Propagated phase error sqrt(MS - cos^2 * C^2) / (delta |sin * C|) at phase phi."""
+    return _propagated_error(terms.mean_square, terms.coherence, terms.delta, phi)
 
 
 def mm_phase_error(sigma: DensityMatrix, spec: MmStateSpec, phi: float) -> float:
@@ -254,8 +256,7 @@ def noon_phase_error(n: int, eta: float, phi: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+    _check_eta(eta)
     return _propagated_error(eta**n, eta**n, n, phi)
 
 
@@ -263,8 +264,7 @@ def baselines(n: float, eta: float) -> Baselines:
     """Shot-noise, Heisenberg and minimized lossy-NOON reference errors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+    _check_eta(eta)
     return Baselines(
         shot_noise=1.0 / math.sqrt(n * eta),
         heisenberg=1.0 / n,
@@ -282,15 +282,17 @@ def noon_observable(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _noon_loss(n: int, eta: float):
-    return two_mode_loss_channel(eta, eta, (n + 1, n + 1))
+def _noon_loss(n: int, eta: float) -> tuple:
+    """The two arms' loss as two channels of n + 1 Kraus matrices, not one of (n + 1)^2."""
+    dims = (n + 1, n + 1)
+    return two_mode_loss_channel(eta, 1.0, dims), two_mode_loss_channel(1.0, eta, dims)
 
 
 def _noon_output(n: int, eta: float, phi: float) -> DensityMatrix:
-    dims = (n + 1, n + 1)
-    rho = noon_state(n).to_density_flat()
-    rho = two_mode_phase(rho, phi, dims)
-    return apply_channel(rho, _noon_loss(n, eta))
+    rho = two_mode_phase(noon_state(n).to_density_flat(), phi, (n + 1, n + 1))
+    for arm in _noon_loss(n, eta):
+        rho = apply_channel(rho, arm)
+    return rho
 
 
 _NOON_FD_STEP = 1e-6  # phase step of the central difference in noon_phase_error_brute

@@ -61,6 +61,11 @@ def binomial_table(nmax: int) -> np.ndarray:
     return t
 
 
+def _check_eta(eta: float) -> None:
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
@@ -225,8 +230,7 @@ def loss_channel(eta: float, dim: int) -> KrausChannel:
     Memoised per (eta, dim); the channel's matrices are read-only, so
     callers share one instance.
     """
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+    _check_eta(eta)
     if dim < 1:
         raise ValueError("dimension must be positive")
     tbl = binomial_table(dim - 1)

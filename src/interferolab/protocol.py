@@ -5,11 +5,11 @@ loss eta1), applies the index-reversal unitary, and returns it through
 the reference arm (phase theta, loss eta2).  ``roundtrip_oracle`` plays
 this out with explicit Kraus sums (on the memoised ``loss_channel``) and
 is the ground truth here.  The engine, ``_round_trip``, returns only the
-output's lag diagonals (n - n' = k) that the input occupies: every lag
-for the sine state, 0 and delta for the M&M state, O(d) numbers each.
-The sweep reads them directly; ``optimal_state_output`` and
-``mm_state_output`` build full matrices from them for
-``validate_closed_forms`` to check against the oracle.
+output's lag diagonals (n - n' = k) that the input occupies, as {k: lag}:
+every lag for the sine state, 0 and delta for the M&M state, O(d)
+numbers each.  The sweep reads that dict directly; ``optimal_state_output``
+and ``mm_state_output`` build d x d matrices from it in one place,
+``_output_matrix``, for ``validate_closed_forms`` to check against the oracle.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .fock import (
     DensityMatrix,
     FockVector,
+    _check_eta,
     apply_channel,
     apply_phase,
     binomial_table,
@@ -30,11 +32,6 @@ from .fock import (
     permutation_unitary,
 )
 from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes, mm_state, optimal_phase_state
-
-
-def _check_eta(eta: float) -> None:
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,8 @@ def _occupied_lags(amps: np.ndarray) -> np.ndarray:
 def _round_trip(amps: np.ndarray, eta: float) -> dict:
     """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
     the round-trip output at phi = 0 with transmissivity eta in both arms,
-    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies.
+    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies,
+    each a read-only array.
 
     Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
     with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
@@ -112,89 +110,64 @@ def _round_trip(amps: np.ndarray, eta: float) -> dict:
     for k in map(int, _occupied_lags(amps)):
         w = amp[: d - k, : d - k] * amp[k:, k:]
         lags[k] = w @ (w @ (amps[: d - k] * amps[k:]))[::-1]
+        lags[k].setflags(write=False)
     return lags
 
 
 @functools.lru_cache(maxsize=16)
-def _sine_output_lags(m: int, eta: float) -> tuple:
-    """Lags 0..m of the sine-state round trip, read-only and memoised per
-    (m, eta) for the validation gate's phases; the sweep's rows call
-    ``_round_trip`` directly, so their O(d^2) lag sets are not retained."""
-    lags = tuple(_round_trip(_sine_amplitudes(m), eta).values())
-    for lag in lags:
-        lag.setflags(write=False)
-    return lags
+def _sine_output_lags(m: int, eta: float) -> MappingProxyType:
+    """Lags 0..m of the sine-state round trip, memoised per (m, eta) for the
+    validation gate's phases; the sweep's rows call ``_round_trip``
+    directly, so their O(d^2) lag sets are not retained."""
+    return MappingProxyType(_round_trip(_sine_amplitudes(m), eta))
+
+
+def _output_matrix(lags, phi: float, check: bool) -> DensityMatrix:
+    """The output at phase phi from its lags at phi = 0 (d x d, d = lag 0's
+    size): the arm twist exp(-i*phi*(n - n')) puts lag k below the diagonal
+    as lag * exp(-i*k*phi) and its conjugate above.  At k = 0 that factor
+    is exactly 1, so the diagonal is real and the matrix exactly Hermitian."""
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    d = lags[0].size
+    mat = np.zeros((d, d), dtype=complex)
+    flat = mat.reshape(-1)  # a view: each diagonal is a strided slice of it
+    for k, lag in lags.items():
+        below = lag * np.exp(-1j * k * phi)
+        flat[k * d :: d + 1] = below  # out[i + k, i]
+        flat[k : (d - k) * d : d + 1] = below.conj()  # out[i, i + k]
+    return DensityMatrix(mat, check=check)
 
 
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:
-    """Round-trip output for the optimal phase state, as a d x d matrix.
-
-    Equal transmissivity eta in both arms, single round: the matrix is
-    assembled from the lags of ``_round_trip`` (the numbers the sweep
-    reads), and the arm phases leave the twist exp(-i*phi*(n-n')).
+    """Round-trip output for the optimal phase state (single round, equal
+    transmissivity in both arms), assembled from the lags the sweep reads.
     Matches ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_eta(eta)
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    n = np.arange(m + 1)
-    rho = np.zeros((m + 1, m + 1))
-    for k, lag in enumerate(_sine_output_lags(m, eta)):
-        rho[n[: m + 1 - k], n[k:]] = rho[n[k:], n[: m + 1 - k]] = lag
-    twist = np.exp(-1j * phi * n)
-    return DensityMatrix(rho * np.outer(twist, twist.conj()), check=check)
-
-
-@dataclass(frozen=True, eq=False)
-class MmOutputCoefficients:
-    """Populations and coherences of the M&M round-trip output.
-
-    ``populations[s]`` is the diagonal weight at site s; ``coherence[j]``
-    couples sites j and j+delta with phase delta*phi.
-    """
-
-    spec: MmStateSpec
-    populations: np.ndarray
-    coherence: np.ndarray
-
-    @property
-    def delta(self) -> int:
-        return self.spec.delta
+    return _output_matrix(_sine_output_lags(m, eta), phi, check)
 
 
 @functools.lru_cache(maxsize=16)
-def mm_output_coefficients(spec: MmStateSpec, eta: float) -> MmOutputCoefficients:
-    """Coefficient lists of the M&M output: the lags of the round trip at phi = 0.
+def mm_output_coefficients(spec: MmStateSpec, eta: float) -> MappingProxyType:
+    """Lags of the M&M round trip at phi = 0: {0: the diagonal, delta: the
+    coherences of sites j and j + delta for j = 0..m_prime}.
 
     The input occupies lags 0 and +-delta only, and loss and the reversal
-    keep lags apart, so the output is its diagonal plus the lag-delta
-    diagonal (non-zero on sites 0..m_prime), both O(d) vectors from
-    ``_round_trip``.  Memoised per (spec, eta), so the validation gate
-    runs one round trip per cell rather than per phase; the vectors are
-    read-only.
+    keep lags apart, so these two O(d) vectors are the whole output.
+    Memoised per (spec, eta), so the validation gate runs one round trip
+    per cell rather than per phase.
     """
     _check_eta(eta)
-    lags = _round_trip(_mm_amplitudes(spec), eta)
-    arrays = (lags[0], 2.0 * lags[spec.delta])
-    for arr in arrays:
-        arr.setflags(write=False)
-    return MmOutputCoefficients(spec, *arrays)
+    return MappingProxyType(_round_trip(_mm_amplitudes(spec), eta))
 
 
-def mm_state_output(
-    spec: MmStateSpec, eta: float, phi: float, check: bool = True
-) -> DensityMatrix:
+def mm_state_output(spec: MmStateSpec, eta: float, phi: float, check: bool = True) -> DensityMatrix:
     """Round-trip output for the M&M state (single round, equal
-    transmissivity in both arms), assembled from its coefficients."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    co = mm_output_coefficients(spec, eta)
-    off = 0.5 * co.coherence * np.exp(-1j * co.delta * phi)
-    sigma = np.diag(co.populations.astype(complex))
-    sigma += np.diag(off, -co.delta) + np.diag(off.conj(), co.delta)
-    return DensityMatrix(sigma, check=check)
+    transmissivity in both arms), assembled from its lags."""
+    return _output_matrix(mm_output_coefficients(spec, eta), phi, check)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockVector, KrausChannel, loss_channel
-
-NORM_TOL = 1e-12
+from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, loss_channel
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import _holevo_dispersion, _propagated_error, baselines, mm_error_terms
+from .estimation import _holevo_dispersion, baselines, mm_error_terms, mm_phase_error_closed
 from .protocol import ValidationReport, _round_trip, validate_closed_forms
 from .states import MmStateSpec, _sine_amplitudes
 
@@ -309,9 +309,8 @@ def _mm_row(spec: MmStateSpec, eta: float):
     by convention where the curve is flat, as at eta = 1).  A non-finite error
     raises ValueError.
     """
-    terms = mm_error_terms(spec, eta, 0.0)
     phi_star = math.pi / (2 * spec.delta)
-    best = _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi_star)
+    best = mm_phase_error_closed(mm_error_terms(spec, eta), phi_star)
     if not math.isfinite(best):
         raise ValueError(f"propagated error is {best} at phi = pi/(2*delta)")
     return best, phi_star

@@ -16,7 +16,6 @@ import pytest
 from interferolab import (
     DensityMatrix,
     FockVector,
-    MmErrorTerms,
     MmStateSpec,
     RoundTripConfig,
     baselines,
@@ -43,10 +42,8 @@ GOLDEN = Path(__file__).parent / "golden" / "optimal_vs_n_eta09_default.csv"
 
 def closed_mm_error_fn(spec: MmStateSpec, eta: float):
     """Propagated-error curve with the phase-independent sums hoisted out."""
-    base = mm_error_terms(spec, eta, 0.0)
-    return lambda phi: mm_phase_error_closed(
-        MmErrorTerms(base.mean_square, base.coherence, base.delta, phi)
-    )
+    terms = mm_error_terms(spec, eta)
+    return lambda phi: mm_phase_error_closed(terms, phi)
 
 
 def report(num, name, ok, detail=""):

@@ -210,11 +210,11 @@ class TestMmPhaseError:
             warnings.simplefilter("ignore")
             a = mm_observable(spec.m, spec.m_prime)
         want = expectation(mm_state_output(spec, eta, 0.0, check=False), a @ a)
-        got = mm_error_terms(spec, eta, 0.0).mean_square
+        got = mm_error_terms(spec, eta).mean_square
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_closed_terms_validated(self):
-        terms = mm_error_terms(MmStateSpec(9, 3), 0.85, 0.3)
+        terms = mm_error_terms(MmStateSpec(9, 3), 0.85)
         assert terms.mean_square >= 0.0
         assert 0.0 < terms.coherence <= 1.0
         assert terms.delta == 6
@@ -225,7 +225,7 @@ class TestMmPhaseError:
         spec = MmStateSpec(m, mp)
         for phi in rng.uniform(0.05, 2.9, 5):
             a = mm_phase_error(mm_state_output(spec, eta, phi, check=False), spec, phi)
-            b = mm_phase_error_closed(mm_error_terms(spec, eta, phi))
+            b = mm_phase_error_closed(mm_error_terms(spec, eta), phi)
             if math.isfinite(a) or math.isfinite(b):
                 assert abs(a - b) <= 1e-8 * abs(b)
 
@@ -234,7 +234,7 @@ class TestMmPhaseError:
         # differences of the observable mean, 20 random points
         spec, eta, h = MmStateSpec(9, 3), 0.85, 1e-6
         a = mm_observable(spec.m, spec.m_prime)
-        coherence = mm_error_terms(spec, eta, 0.0).coherence
+        coherence = mm_error_terms(spec, eta).coherence
         for phi in rng.uniform(0.1, 3.0, 20):
             up = expectation(mm_state_output(spec, eta, phi + h, check=False), a)
             down = expectation(mm_state_output(spec, eta, phi - h, check=False), a)
@@ -256,7 +256,8 @@ class TestPhaseOptimization:
 
     def test_noiseless_mm_over_reduced_period(self):
         spec = MmStateSpec(6, 1)
-        fn = lambda phi: mm_phase_error_closed(mm_error_terms(spec, 1.0, phi))
+        terms = mm_error_terms(spec, 1.0)
+        fn = lambda phi: mm_phase_error_closed(terms, phi)
         _, val, _ = phase_error_summary(fn, TWO_PI / spec.delta)
         assert val == pytest.approx(1.0 / spec.delta, abs=1e-12)
 

@@ -6,10 +6,16 @@ import pytest
 from interferolab import (
     DensityMatrix,
     FockVector,
+    MmStateSpec,
+    RoundTripConfig,
     apply_channel,
     apply_phase,
+    baselines,
     expectation,
     loss_channel,
+    mm_output_coefficients,
+    noon_phase_error,
+    optimal_state_output,
     permutation_unitary,
 )
 from interferolab.fock import binomial_table
@@ -120,6 +126,20 @@ class TestLossChannel:
     def test_rejects_bad_transmissivity(self, eta):
         with pytest.raises(ValueError):
             loss_channel(eta, 4)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.0001, math.nan])
+    @pytest.mark.parametrize("make", [
+        lambda eta: loss_channel(eta, 4),
+        lambda eta: RoundTripConfig(0.1, 0.0, 0.9, eta),
+        lambda eta: optimal_state_output(3, eta, 0.1),
+        lambda eta: mm_output_coefficients(MmStateSpec(3, 1), eta),
+        lambda eta: baselines(2.0, eta),
+        lambda eta: noon_phase_error(2, eta, 0.1),
+    ], ids=["loss_channel", "RoundTripConfig", "optimal_state_output",
+            "mm_output_coefficients", "baselines", "noon_phase_error"])
+    def test_every_transmissivity_check_is_the_same(self, make, eta):
+        with pytest.raises(ValueError, match=r"^transmissivity must be in \(0, 1\], got "):
+            make(eta)
 
     def test_memoised_and_read_only(self):
         ch = loss_channel(0.9, 5)

@@ -314,6 +314,38 @@ class TestMmStateOutput:
         mm_state_output(MmStateSpec(12, 5), 0.75, 2.2).validate()
 
 
+class TestOutputMatrix:
+    """Both closed forms are assembled by ``_output_matrix`` from their lags."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        form=st.sampled_from(["rho", "sigma"]),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        phi=st.floats(-20.0, 20.0),
+    )
+    @example(m=8, form="rho", frac=0.0, eta=0.7, phi=0.4)  # once a diagonal imag of 3.7e-18
+    @example(m=5, form="sigma", frac=0.99, eta=0.05, phi=-20.0)
+    def test_exactly_hermitian_and_equal_to_the_oracle(self, m, form, frac, eta, phi):
+        if form == "rho":
+            state, got = optimal_phase_state(m), optimal_state_output(m, eta, phi, check=False)
+        else:
+            spec = MmStateSpec(m, int(frac * m))  # every m_prime in 0..m-1
+            state, got = mm_state(spec), mm_state_output(spec, eta, phi, check=False)
+        mat = got.mat
+        assert np.array_equal(mat, mat.conj().T)
+        assert np.array_equal(np.diag(mat).imag, np.zeros(m + 1))
+        oracle = roundtrip_oracle(state, RoundTripConfig(phi, 0.37, eta, eta))
+        assert np.max(np.abs(mat - oracle.mat)) <= 1e-12
+
+    def test_rejects_non_finite_phase(self):
+        for make in (lambda phi: optimal_state_output(3, 0.9, phi),
+                     lambda phi: mm_state_output(MmStateSpec(3, 1), 0.9, phi)):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                make(math.nan)
+
+
 def _mm_closed_form(spec, eta):
     """The paper's M&M output as triple sums over first-arm loss i and net
     index shift j, prefactor (1-eta)^(2i-j) eta^(m-i+j); every term is
@@ -356,10 +388,10 @@ class TestMmClosedForm:
         # the values are normal doubles (eta near 1 drives some subnormal)
         spec = MmStateSpec(m_prime + delta, m_prime)
         populations, coherence = _mm_closed_form(spec, eta)
-        co = mm_output_coefficients(spec, eta)
+        lags = mm_output_coefficients(spec, eta)
         tiny = np.finfo(float).tiny
-        np.testing.assert_allclose(co.populations, populations, rtol=1e-14, atol=tiny)
-        np.testing.assert_allclose(co.coherence, coherence, rtol=1e-14, atol=tiny)
+        np.testing.assert_allclose(lags[0], populations, rtol=1e-14, atol=tiny)
+        np.testing.assert_allclose(2 * lags[spec.delta], coherence, rtol=1e-14, atol=tiny)
 
     def test_coefficients_are_read_only_and_equal_a_fresh_round_trip(self):
         # repeated keys, keys interleaved with others, and keys revisited after
@@ -367,12 +399,13 @@ class TestMmClosedForm:
         first = [(MmStateSpec(8, 2), 0.9), (MmStateSpec(8, 2), 0.5), (MmStateSpec(300, 3), 0.9)]
         others = [(MmStateSpec(m, m // 3), eta) for m in range(2, 12) for eta in (0.7, 1.0)]
         for spec, eta in first + first[::-1] + others + first + [first[0]] * 2:
-            co = mm_output_coefficients(spec, eta)
-            lags = _round_trip(_mm_amplitudes(spec), eta)
-            for got, want in ((co.populations, lags[0]), (co.coherence, 2.0 * lags[spec.delta])):
+            lags = mm_output_coefficients(spec, eta)
+            want = _round_trip(_mm_amplitudes(spec), eta)
+            assert sorted(lags) == sorted(want) == [0, spec.delta]
+            for k, got in lags.items():
                 assert not got.flags.writeable
-                assert got.dtype == want.dtype
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert got.dtype == want[k].dtype
+                assert np.array_equal(got.view(np.uint64), want[k].view(np.uint64))
 
     def test_validation_gate_runs_one_round_trip_per_cell(self, monkeypatch):
         # 21 (m, m_prime) pairs at max_m = 8, times 3 transmissivities; the
@@ -406,12 +439,14 @@ class TestMmClosedForm:
         for m, eta in [(8, 0.9), (8, 0.5), (8, 0.9), (3, 1.0)]:
             lags = _sine_output_lags(m, eta)
             want = _round_trip(_sine_amplitudes(m), eta)
-            assert len(lags) == len(want) == m + 1
-            for k, lag in enumerate(lags):
+            assert list(lags) == list(want) == list(range(m + 1))
+            for k, lag in lags.items():
                 assert not lag.flags.writeable
                 assert np.array_equal(lag.view(np.uint64), want[k].view(np.uint64))
             with pytest.raises(ValueError):
                 lags[0][0] = 1.0
+            with pytest.raises(TypeError):
+                lags[0] = want[0]
 
     @pytest.mark.parametrize("m", [100, 197, 300])
     @pytest.mark.parametrize("mp, eta", [(3, 0.9), (3, 0.5), (0, 0.9), (4, 0.97)])
@@ -419,7 +454,7 @@ class TestMmClosedForm:
         # above m = 60 the engine's binomials come from log-gamma sums
         spec = MmStateSpec(m, mp)
         populations, coherence = _mm_closed_form(spec, eta)
-        terms = mm_error_terms(spec, eta, 0.0)
+        terms = mm_error_terms(spec, eta)
         mean_square = math.fsum([*populations[: mp + 1], *populations[spec.delta :]])
         assert terms.mean_square == pytest.approx(mean_square, rel=2e-12, abs=0.0)
         assert terms.coherence == pytest.approx(math.fsum(coherence), rel=2e-12, abs=0.0)

@@ -23,6 +23,7 @@ from interferolab import (
     emit_gnu_plot_script,
     mm_error_terms,
     mm_phase_error,
+    mm_phase_error_closed,
     mm_state_output,
     optimal_outcome_distribution,
     optimal_state_output,
@@ -31,7 +32,6 @@ from interferolab import (
     run_sweep,
 )
 from interferolab.cli import main as cli_main
-from interferolab.estimation import _propagated_error
 from interferolab.sweep import (
     CurvePoint,
     _mm_row,
@@ -170,19 +170,16 @@ class TestRowMachinery:
         spec = MmStateSpec(m, int(frac * m))
         best, phi_star = _mm_row(spec, eta)
         assert phi_star == math.pi / (2 * spec.delta)
-        terms = mm_error_terms(spec, eta, 0.0)
-
-        def err(phi):
-            return _propagated_error(terms.mean_square, terms.coherence, spec.delta, phi)
-
+        terms = mm_error_terms(spec, eta)
+        err = lambda phi: mm_phase_error_closed(terms, phi)
         _, scanned, _ = phase_error_summary(err, TWO_PI / spec.delta, 720)
         assert best == pytest.approx(scanned, rel=1e-12, abs=0.0)
         assert best <= scanned + 4 * math.ulp(scanned)
 
     def test_non_finite_mm_error_fails_the_run(self, tmp_path, monkeypatch):
         # no coherence left: the error is infinite at every phase
-        monkeypatch.setattr(sweep_mod, "mm_error_terms", lambda spec, eta, phi: MmErrorTerms(
-            0.5, 0.0, spec.delta, phi))
+        monkeypatch.setattr(sweep_mod, "mm_error_terms", lambda spec, eta: MmErrorTerms(
+            0.5, 0.0, spec.delta))
         with pytest.raises(ValueError, match="propagated error"):
             _mm_row(MmStateSpec(8, 2), 0.9)
         with pytest.raises(ValidationFailure, match="propagated error"):
