@@ -4,10 +4,7 @@ Every setting is one entry of ``KEYS``: its name is both the flag
 (``--n-min``) and the config-file key (``n-min=4``).  Flags override
 config-file entries, which override the ``SweepConfig`` defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
-3 I/O error.  The worker count is capped by the INTERF_THREADS
-environment variable, a non-negative integer (0 or unset picks
-automatically), checked for every family; the README says which
-families use the pool.
+3 I/O error.  Rows run in ascending sweep order on the calling thread.
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -72,6 +70,8 @@ class SweepConfig:
             raise UsageError("range step must be positive")
         if hi < lo:
             raise UsageError("range max must be >= min")
+        if not math.isfinite((hi - lo) / step):
+            raise UsageError(f"range step {step!r} is too small: (max - min) / step is not finite")
         if self.phi_grid_points < 2:
             raise UsageError("phi grid needs at least 2 points")
         if self.mm_m_prime < 0:
@@ -343,11 +343,11 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
 
 
 def _worker_count() -> int:
-    """Row workers from INTERF_THREADS: a non-negative integer, 0 or unset for automatic."""
-    raw = os.environ.get("INTERF_THREADS", "").strip()
-    if raw and not raw.isdecimal():
-        raise UsageError(f"INTERF_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw or 0) or min(8, os.cpu_count() or 1)
+    """Threads that compute rows: 1, since rows run in order on the calling thread.
+
+    Its only reader is bench/traced_cli.py, which records it with each traced run.
+    """
+    return 1
 
 
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
@@ -355,19 +355,14 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     With ``cfg.validate`` set, the production outputs are first checked against
     the brute-force channel on a small subsample (top index capped at 8)
-    and nothing is written unless that passes.  Rows are independent;
-    which of them go to the thread pool is set out in the README (the
-    paragraph on INTERF_THREADS).  The file always lists rows in
-    ascending sweep order.
+    and nothing is written unless that passes.  Rows are computed in
+    ascending sweep order on the calling thread, and listed in that order.
     With ``cfg.external_comparison_file`` set, that file is read before
     anything is written and its values fill the ``external`` column.
     """
     started = time.monotonic()
     cfg.check()
     values = cfg.values()
-    if not values:
-        raise UsageError("sweep range is empty")
-    workers = min(_worker_count(), len(values))  # read and checked for every family
     comp_path = cfg.external_comparison_file
     external = _read_comparison(comp_path) if comp_path else {}
 
@@ -390,11 +385,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 f"not below tolerance {report.tolerance:.1e} (report: {txt})"
             )
 
-    if workers > 1 and cfg.state_family == "optimal":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _compute_row(cfg, v), values))
-    else:
-        rows = [_compute_row(cfg, v) for v in values]
+    rows = [_compute_row(cfg, v) for v in values]
 
     for row in rows:
         if row.heisenberg > row.shot_noise * (1.0 + 1e-12):

@@ -1,8 +1,9 @@
 """The names the benchmark harness under bench/ reaches into the package for.
 
 bench/run.py --trace 1 wraps every function listed in bench/layers.TRACED
-and reads the row pool size from sweep._worker_count; a rename in src/
-would otherwise surface only in ``python -m pytest bench``.
+and records sweep._worker_count(), which is 1 because rows run on the
+calling thread; a rename in src/ would otherwise surface only in
+``python -m pytest bench``.
 """
 
 import importlib
@@ -42,7 +43,7 @@ def test_every_traced_function_exists(bench):
 def test_traced_cli_entry_points_exist():
     sweep = importlib.import_module("interferolab.sweep")
     cli = importlib.import_module("interferolab.cli")
-    assert callable(sweep._worker_count)
+    assert sweep._worker_count() == 1
     assert callable(cli.main)
 
 

@@ -69,20 +69,6 @@ class TestExitCodes:
         assert f"validation failure: sweep={n} (top index {top})" in capsys.readouterr().err
         assert not out.exists()
 
-    # mm rows never use the worker pool, but the setting is still checked
-    @pytest.mark.parametrize(
-        "threads, family", [("abc", "optimal"), ("-2", "optimal"), ("abc", "mm")],
-        ids=["abc", "-2", "mm-abc"],
-    )
-    def test_usage_error_from_bad_thread_count(self, threads, family, tmp_path, capsys,
-                                               monkeypatch):
-        monkeypatch.setenv("INTERF_THREADS", threads)
-        out = tmp_path / "x.csv"
-        assert run(["--family", family, "--n-min", "4", "--n-max", "5", "--phi-grid", "90",
-                    "--out", str(out)]) == 1
-        assert "INTERF_THREADS" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_io_error_on_unwritable_output(self, tmp_path, capsys):
         code = run([
             "--n-min", "2", "--n-max", "2", "--n-step", "1",
@@ -284,6 +270,19 @@ class TestModuleEntryPoint:
         loaded = set(proc.stdout.split())
         assert "interferolab" in loaded
         assert loaded - {"interferolab", "numpy"} <= set(sys.stdlib_module_names)
+        assert "concurrent" not in loaded  # rows run on the calling thread
+
+    # (max - min) / step overflows to inf, so the row count is not a number
+    @pytest.mark.parametrize("argv", [
+        ["--n-step", "1e-320"],
+        ["--axis", "eta", "--eta-step", "1e-320"],
+    ], ids=["n", "eta"])
+    def test_tiny_range_step_is_a_usage_error(self, argv, tmp_path):
+        proc = self.run_module([*argv, "--phi-grid", "8", "--out", "x.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_help_lists_every_key(self, tmp_path):
         proc = self.run_module(["--help"], tmp_path)

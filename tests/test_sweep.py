@@ -1,6 +1,7 @@
 import csv
 import decimal
 import math
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -33,6 +34,7 @@ from interferolab import (
 )
 from interferolab.cli import main as cli_main
 from interferolab.sweep import (
+    FAMILIES,
     CurvePoint,
     _mm_row,
     _optimal_fast_row,
@@ -239,17 +241,11 @@ class TestFoldedArgmin:
         # at eta = 1 the outcome at distance pi has probability zero
         assert _optimal_fast_row(5, 1.0, 8)[1] == 0.0
 
-    def test_odd_m_rows_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+    def test_odd_m_sweep_row_reports_the_fast_row_minimiser(self, tmp_path):
         cfg = small_cfg(tmp_path, n_range=(1.5, 6.5, 1.0), phi_grid_points=16)
-        monkeypatch.setenv("INTERF_THREADS", "1")
-        serial = run_sweep(replace(cfg, output_path=str(tmp_path / "serial.csv")))
-        monkeypatch.delenv("INTERF_THREADS")
-        pooled = run_sweep(replace(cfg, output_path=str(tmp_path / "pooled.csv")))
-        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
-        row = serial.rows[2]  # n = 3.5, m = 7
+        row = run_sweep(cfg).rows[2]  # n = 3.5, m = 7
         assert row.argmin_phi == _optimal_fast_row(7, 0.9, 16)[1]
         assert 0.0 < row.argmin_phi < math.pi / 8
-        assert [r.argmin_phi for r in pooled.rows] == [r.argmin_phi for r in serial.rows]
 
     @pytest.mark.parametrize("spec", [MmStateSpec(8, 2), MmStateSpec(9, 4), MmStateSpec(6, 0)])
     @pytest.mark.parametrize("eta", [0.6, 0.95, 1.0])
@@ -274,46 +270,27 @@ class TestRunSweep:
         run_sweep(small_cfg(tmp_path, output_path=str(b)))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "threaded.csv"
-        monkeypatch.setenv("INTERF_THREADS", "1")
-        run_sweep(small_cfg(tmp_path, output_path=str(a)))
-        monkeypatch.setenv("INTERF_THREADS", "3")
-        run_sweep(small_cfg(tmp_path, output_path=str(b)))
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_run_in_order_on_the_calling_thread(self, family, tmp_path, monkeypatch):
+        # whatever INTERF_THREADS holds, it is not read
+        compute_row = sweep_mod._compute_row
+        calls = []
 
-    def test_pool_never_exceeds_the_row_count(self, tmp_path, monkeypatch):
-        sizes = []
+        def recording_row(cfg, value):
+            calls.append((threading.get_ident(), value))
+            return compute_row(cfg, value)
 
-        class RecordingPool(sweep_mod.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 3))  # never start more threads
-
-        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("INTERF_THREADS", "64")
-        run_sweep(small_cfg(tmp_path, n_range=(2.0, 4.0, 1.0)))
-        assert sizes == [3]
-
-    @pytest.mark.parametrize(
-        "family, pools", [("optimal", [3]), ("mm", []), ("no", []), ("noon", [])],
-        ids=["optimal", "mm", "no", "noon"],
-    )
-    def test_only_optimal_sweeps_use_the_row_pool(self, family, pools, tmp_path, monkeypatch):
-        # rows of the other families hold the GIL, so they run on the calling thread
-        sizes = []
-
-        class RecordingPool(sweep_mod.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("INTERF_THREADS", "3")
-        summary = run_sweep(small_cfg(tmp_path, state_family=family, n_range=(4.0, 7.0, 1.0)))
-        assert len(summary.rows) == 4
-        assert sizes == pools
+        monkeypatch.setattr(sweep_mod, "_compute_row", recording_row)
+        monkeypatch.delenv("INTERF_THREADS", raising=False)
+        cfg = small_cfg(tmp_path, state_family=family, n_range=(4.0, 7.0, 1.0))
+        run_sweep(replace(cfg, output_path=str(tmp_path / "unset.csv")))
+        for threads in ("3", "abc"):
+            monkeypatch.setenv("INTERF_THREADS", threads)
+            calls.clear()
+            out = tmp_path / f"{threads}.csv"
+            run_sweep(replace(cfg, output_path=str(out)))
+            assert calls == [(threading.get_ident(), n) for n in (4.0, 5.0, 6.0, 7.0)]
+            assert out.read_bytes() == (tmp_path / "unset.csv").read_bytes()
 
     def test_header_and_shape(self, tmp_path):
         summary = run_sweep(small_cfg(tmp_path))
@@ -429,7 +406,8 @@ def test_large_golden_min_rms_is_the_reference_correctly_rounded():
 
 @pytest.mark.parametrize("threads", ["1", None, "3"])
 def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
-    # the two-component benchmark run at seed 0, without --validate
+    # the two-component benchmark run at seed 0, without --validate; the
+    # bytes do not depend on the retired INTERF_THREADS variable
     if threads is None:
         monkeypatch.delenv("INTERF_THREADS", raising=False)
     else:
@@ -478,7 +456,8 @@ def test_off_grid_mm_error_is_the_reference_correctly_rounded(tmp_path):
 @pytest.mark.parametrize("threads", ["1", None])
 def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
     # the large-n benchmark run at seed 0: the only rows with F-order loss
-    # tables (d >= 182); min_rms is reference-rounded, holevo is not
+    # tables (d >= 182); min_rms is reference-rounded, holevo is not. The
+    # bytes do not depend on the retired INTERF_THREADS variable
     if threads is None:
         monkeypatch.delenv("INTERF_THREADS", raising=False)
     else:
