@@ -9,15 +9,15 @@ output's lag diagonals (n - n' = k) that the input occupies, as {k: lag}:
 every lag for the sine state, 0 and delta for the M&M state, O(d)
 numbers each.  The sweep reads that dict directly; ``optimal_state_output``
 and ``mm_state_output`` build d x d matrices from it in one place,
-``_output_matrix``, for ``validate_closed_forms`` to check against the oracle.
+``_output_matrix``.  Nothing is memoised: each call runs one round trip,
+so a phase scan should build the phi = 0 output once and apply each
+phase to it, as ``validate_closed_forms`` and demo 03 do.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -96,8 +96,8 @@ def _occupied_lags(amps: np.ndarray) -> np.ndarray:
 def _round_trip(amps: np.ndarray, eta: float) -> dict:
     """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
     the round-trip output at phi = 0 with transmissivity eta in both arms,
-    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies,
-    each a read-only array.
+    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies.
+    Each call runs one round trip; the phase of a scan is applied afterwards.
 
     Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
     with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
@@ -110,16 +110,7 @@ def _round_trip(amps: np.ndarray, eta: float) -> dict:
     for k in map(int, _occupied_lags(amps)):
         w = amp[: d - k, : d - k] * amp[k:, k:]
         lags[k] = w @ (w @ (amps[: d - k] * amps[k:]))[::-1]
-        lags[k].setflags(write=False)
     return lags
-
-
-@functools.lru_cache(maxsize=16)
-def _sine_output_lags(m: int, eta: float) -> MappingProxyType:
-    """Lags 0..m of the sine-state round trip, memoised per (m, eta) for the
-    validation gate's phases; the sweep's rows call ``_round_trip``
-    directly, so their O(d^2) lag sets are not retained."""
-    return MappingProxyType(_round_trip(_sine_amplitudes(m), eta))
 
 
 def _output_matrix(lags, phi: float, check: bool) -> DensityMatrix:
@@ -143,25 +134,26 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
     """Round-trip output for the optimal phase state (single round, equal
     transmissivity in both arms), assembled from the lags the sweep reads.
     Matches ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
+    Each call runs one round trip, so a phase scan should build the phi = 0
+    output once and apply each phase to it, as demo 03 does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_eta(eta)
-    return _output_matrix(_sine_output_lags(m, eta), phi, check)
+    return _output_matrix(_round_trip(_sine_amplitudes(m), eta), phi, check)
 
 
-@functools.lru_cache(maxsize=16)
-def mm_output_coefficients(spec: MmStateSpec, eta: float) -> MappingProxyType:
+def mm_output_coefficients(spec: MmStateSpec, eta: float) -> dict:
     """Lags of the M&M round trip at phi = 0: {0: the diagonal, delta: the
     coherences of sites j and j + delta for j = 0..m_prime}.
 
     The input occupies lags 0 and +-delta only, and loss and the reversal
-    keep lags apart, so these two O(d) vectors are the whole output.
-    Memoised per (spec, eta), so the validation gate runs one round trip
-    per cell rather than per phase.
+    keep lags apart, so these two O(d) vectors are the whole output.  Each
+    call runs one round trip, so a phase scan should build them once and
+    apply each phase to them, as demo 03 does with the sine state.
     """
     _check_eta(eta)
-    return MappingProxyType(_round_trip(_mm_amplitudes(spec), eta))
+    return _round_trip(_mm_amplitudes(spec), eta)
 
 
 def mm_state_output(spec: MmStateSpec, eta: float, phi: float, check: bool = True) -> DensityMatrix:
@@ -249,19 +241,22 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
 
     For every m <= max_m, every (eta, phi) cell is checked for the sine
     state and for a few M&M splittings.  The report records the worst
-    elementwise deviation per cell and the overall argmax.
+    elementwise deviation per cell and the overall argmax.  Each (m, eta)
+    runs one round trip per state, whose lags serve every phase.
     """
     cells = []
     for m in range(1, max_m + 1):
+        specs = [MmStateSpec(m, mp) for mp in sorted({0, m // 2, m - 1})]
         for eta in _VALIDATION_ETAS:
+            sine_lags = _round_trip(_sine_amplitudes(m), eta)
+            mm_lags = [mm_output_coefficients(spec, eta) for spec in specs]
             for phi in _VALIDATION_PHIS:
                 cfg = RoundTripConfig(phi, _VALIDATION_THETA, eta, eta)
                 oracle = roundtrip_oracle(optimal_phase_state(m), cfg)
-                closed = optimal_state_output(m, eta, phi, check=False)
+                closed = _output_matrix(sine_lags, phi, False)
                 cells.append(_dev_cell("rho", m, -1, eta, phi, closed, oracle))
-                for mp in sorted({0, m // 2, m - 1}):
-                    spec = MmStateSpec(m, mp)
+                for spec, lags in zip(specs, mm_lags):
                     oracle = roundtrip_oracle(mm_state(spec), cfg)
-                    closed = mm_state_output(spec, eta, phi, check=False)
-                    cells.append(_dev_cell("sigma", m, mp, eta, phi, closed, oracle))
+                    closed = _output_matrix(lags, phi, False)
+                    cells.append(_dev_cell("sigma", m, spec.m_prime, eta, phi, closed, oracle))
     return ValidationReport(tuple(cells), _VALIDATION_TOLERANCE)

@@ -2,8 +2,9 @@
 
 bench/run.py --trace 1 wraps every function listed in bench/layers.TRACED
 and records sweep._worker_count(), which is 1 because rows run on the
-calling thread; a rename in src/ would otherwise surface only in
-``python -m pytest bench``.
+calling thread; bench/verify.py checks every benchmark CSV against the
+package's public outputs.  A rename or signature change in src/ would
+otherwise surface only in ``python -m pytest bench``.
 """
 
 import importlib
@@ -12,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from interferolab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+GOLDEN = ROOT / "tests" / "golden" / "optimal_vs_n_eta09_default.csv"
 
 
 @pytest.fixture
@@ -50,3 +55,20 @@ def test_traced_cli_entry_points_exist():
 def test_verify_imports(bench):
     verify = bench("verify")
     assert callable(verify.check_csv)
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "optimal", "--n-min", "2", "--n-max", "4", "--validate"],
+    ["--family", "mm", "--n-min", "5", "--n-max", "7", "--validate"],
+], ids=["optimal", "mm"])
+def test_verify_accepts_cli_csv(bench, tmp_path, args):
+    verify = bench("verify")
+    out = tmp_path / "s.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert verify.check_csv(out.read_text(encoding="utf-8"), verify.sweep_config(args)) == {}
+
+
+def test_verify_accepts_the_default_golden(bench):
+    verify = bench("verify")
+    golden = GOLDEN.read_text(encoding="utf-8")
+    assert verify.check_csv(golden, verify.sweep_config([]), golden) == {}

@@ -284,6 +284,22 @@ class TestModuleEntryPoint:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    # transmissivities so small that a baseline or the Holevo dispersion
+    # overflows, divides by zero or prints inf
+    @pytest.mark.parametrize("argv", [
+        ["--family", "optimal", "--n-min", "2", "--n-max", "2", "--eta", "1e-300"],
+        ["--axis", "eta", "--n", "10", "--eta-min", "1e-80", "--eta-max", "1e-80",
+         "--eta-step", "0.1"],
+        ["--family", "noon", "--axis", "eta", "--n", "10", "--eta-min", "1e-63",
+         "--eta-max", "1e-63", "--eta-step", "0.1"],
+    ], ids=["holevo-overflow", "noon-zero-division", "noon-inf"])
+    def test_tiny_transmissivity_is_a_validation_failure(self, argv, tmp_path):
+        proc = self.run_module([*argv, "--phi-grid", "8", "--out", "x.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("validation failure:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_help_lists_every_key(self, tmp_path):
         proc = self.run_module(["--help"], tmp_path)
         assert proc.returncode == 0, proc.stderr

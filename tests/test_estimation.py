@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interferolab import (
@@ -291,6 +291,24 @@ class TestBaselines:
 
     def test_shot_noise_value(self):
         assert baselines(20, 0.9).shot_noise == pytest.approx(1 / math.sqrt(18), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.floats(1.0, 1e3), st.floats(1.0, 1e300)),
+        eta=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(n=1.0, eta=5e-324)  # subnormal n * eta
+    @example(n=3.0, eta=1e-200)
+    @example(n=1e300, eta=1.0)
+    def test_heisenberg_never_above_shot_noise(self, n, eta):
+        # fl(n*eta) <= n and fl(sqrt(fl(n*eta))) <= n, and 1/x rounds
+        # monotonically, so the ordering holds exactly, with no tolerance
+        try:
+            b = baselines(n, eta)
+        except ZeroDivisionError:  # only the NOON factor n * eta^(n/2) can reach 0
+            assert n * eta ** (n / 2.0) == 0.0
+            return
+        assert b.heisenberg <= b.shot_noise
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -182,9 +182,7 @@ class TestRowMachinery:
         # no coherence left: the error is infinite at every phase
         monkeypatch.setattr(sweep_mod, "mm_error_terms", lambda spec, eta: MmErrorTerms(
             0.5, 0.0, spec.delta))
-        with pytest.raises(ValueError, match="propagated error"):
-            _mm_row(MmStateSpec(8, 2), 0.9)
-        with pytest.raises(ValidationFailure, match="propagated error"):
+        with pytest.raises(ValidationFailure, match=r"sweep=5 \(top index 7\): mm_error is inf"):
             run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0)))
         assert not (tmp_path / "out.csv").exists()
 
