@@ -14,7 +14,6 @@ from .fock import (
     DensityMatrix,
     FockVector,
     KrausChannel,
-    PermutationUnitary,
     apply_channel,
     apply_phase,
     expectation,

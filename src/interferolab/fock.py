@@ -1,11 +1,12 @@
 """Truncated single-mode Fock-space linear algebra.
 
 States live on the basis |0>..|D-1> of one optical mode.  The module
-provides the pure-state and density-matrix containers, the phase shift
-exp(i*phi*n), the photon-loss channel in Kraus form, the Fock-index
-reversal unitary, and Hermitian expectation values.  Everything is a
-dense complex numpy array; all containers are immutable after
-construction and every operation is a pure function of its inputs.
+provides the pure-state and density-matrix containers and the operators
+of the Kraus reference: the phase shift exp(i*phi*n), the photon-loss
+channel in Kraus form and the Fock-index reversal, a literal d x d
+matrix.  The operators act on density matrices.  Everything is a dense
+numpy array; all containers are immutable after construction and every
+operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -74,23 +75,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Normalized pure state over the Fock basis |0>..|dim-1>."""
+    """Unit-norm pure state over the Fock basis |0>..|dim-1>."""
 
     amps: np.ndarray
 
-    def __init__(self, amps, normalize: bool = False):
+    def __init__(self, amps):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise ValueError("state needs at least one amplitude")
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("non-finite amplitude")
         nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if normalize:
-            if nrm2 == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            amps = amps / math.sqrt(nrm2)
-        elif abs(nrm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |amps|^2 = {nrm2!r}")
+        if abs(nrm2 - 1.0) > NORM_TOL:
+            raise ValueError(f"state needs unit norm: |amps|^2 = {nrm2!r}")
         object.__setattr__(self, "amps", _frozen(amps))
 
     @property
@@ -165,59 +162,22 @@ class KrausChannel:
             raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
-class PermutationUnitary:
-    """Fock-index reversal |n> -> |dim-1-n> on a dim-level mode."""
-
-    dim: int
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        object.__setattr__(self, "dim", int(dim))
-
-    @property
-    def perm(self) -> np.ndarray:
-        return np.arange(self.dim)[::-1]
-
-    def matrix(self) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim))
-        u[self.perm, np.arange(self.dim)] = 1.0
-        return u
-
-    def apply(self, state):
-        p = self.perm
-        if isinstance(state, FockVector):
-            if state.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            return FockVector(state.amps[p])
-        if isinstance(state, DensityMatrix):
-            if state.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            return DensityMatrix(state.mat[np.ix_(p, p)], check=False)
-        raise TypeError(f"cannot permute {type(state).__name__}")
+def permutation_unitary(dim: int) -> np.ndarray:
+    """The index reversal |n> -> |dim-1-n> as a read-only dim x dim matrix."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    u = np.eye(dim)[::-1].copy()
+    u.setflags(write=False)
+    return u
 
 
-def permutation_unitary(dim: int) -> PermutationUnitary:
-    """Index-reversal unitary on a dim-level mode."""
-    return PermutationUnitary(dim)
-
-
-def apply_phase(state, phi: float):
-    """Multiply the |n> amplitude by exp(i*n*phi).
-
-    For a density matrix the (n, m) element picks up exp(i*(n-m)*phi).
-    Returns the same container type; norm and trace are unchanged.
-    """
+def apply_phase(rho: DensityMatrix, phi: float) -> DensityMatrix:
+    """Phase shift exp(i*phi*n): the (n, m) element picks up exp(i*(n-m)*phi),
+    so the trace is unchanged."""
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
-    if isinstance(state, FockVector):
-        ph = np.exp(1j * phi * np.arange(state.dim))
-        return FockVector(state.amps * ph)
-    if isinstance(state, DensityMatrix):
-        ph = np.exp(1j * phi * np.arange(state.dim))
-        return DensityMatrix(state.mat * np.outer(ph, ph.conj()), check=False)
-    raise TypeError(f"cannot phase-shift {type(state).__name__}")
+    ph = np.exp(1j * phi * np.arange(rho.dim))
+    return DensityMatrix(rho.mat * np.outer(ph, ph.conj()), check=False)
 
 
 @functools.lru_cache(maxsize=64)

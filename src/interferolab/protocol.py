@@ -52,12 +52,13 @@ class RoundTripConfig:
 
 
 def roundtrip_step(rho: DensityMatrix, cfg: RoundTripConfig) -> DensityMatrix:
-    """One full round trip applied to a density matrix; the reversal acts
-    on all rho.dim levels."""
+    """One full round trip applied to a density matrix; the reversal is the
+    rho.dim x rho.dim matrix u, applied as u @ rho @ u.T."""
     d = rho.dim
     out = apply_phase(rho, cfg.phi + cfg.theta)
     out = apply_channel(out, loss_channel(cfg.eta1, d))
-    out = permutation_unitary(d).apply(out)
+    u = permutation_unitary(d)
+    out = DensityMatrix(u @ out.mat @ u.T, check=False)
     out = apply_phase(out, cfg.theta)
     out = apply_channel(out, loss_channel(cfg.eta2, d))
     return out

@@ -21,11 +21,11 @@ from .estimation import _holevo_dispersion, baselines, mm_error_terms, mm_phase_
 from .protocol import ValidationReport, _round_trip, validate_closed_forms
 from .states import MmStateSpec, _sine_amplitudes
 
-CSV_HEADER = "sweep,min_rms,argmin_phi,avg_rms,holevo,mm_error,shot_noise,heisenberg,noon,external"
-
 FAMILIES = ("optimal", "mm", "no", "noon")
 
 TWO_PI = 2.0 * math.pi
+
+MAX_ROWS = 100_000  # far above any real sweep; a longer range is a mistyped step
 
 
 class UsageError(Exception):
@@ -72,6 +72,9 @@ class SweepConfig:
             raise UsageError("range max must be >= min")
         if not math.isfinite((hi - lo) / step):
             raise UsageError(f"range step {step!r} is too small: (max - min) / step is not finite")
+        rows = self._row_count()
+        if rows > MAX_ROWS:
+            raise UsageError(f"range step {step!r} gives {rows:.6g} rows, more than {MAX_ROWS}")
         if self.phi_grid_points < 2:
             raise UsageError("phi grid needs at least 2 points")
         if self.mm_m_prime < 0:
@@ -85,10 +88,13 @@ class SweepConfig:
                 raise UsageError(f"mean photon number {n!r} below 1")
             self._top_index(n)  # raises UsageError on bad combinations
 
-    def values(self) -> list:
+    def _row_count(self) -> int:
         lo, hi, step = self.n_range if self.sweep_axis == "n" else self.eta_range
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + k * step for k in range(count)]
+        return int(math.floor((hi - lo) / step + 1e-9)) + 1
+
+    def values(self) -> list:
+        lo, _, step = self.n_range if self.sweep_axis == "n" else self.eta_range
+        return [lo + k * step for k in range(self._row_count())]
 
     def _top_index(self, n: float) -> int:
         """Largest Fock index of the input for mean photon number n."""
@@ -116,21 +122,25 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One CSV row; None marks a column that does not apply."""
+    """One CSV row; each field is the CSV column of its name, and None marks
+    a column that does not apply."""
 
-    sweep_value: float
+    sweep: float
     min_rms: float | None = None
     argmin_phi: float | None = None
     avg_rms: float | None = None
     holevo: float | None = None
-    mm_error_min: float | None = None
+    mm_error: float | None = None
     shot_noise: float | None = None
     heisenberg: float | None = None
-    noon_baseline: float | None = None
+    noon: float | None = None
     external: float | None = None
 
     def csv_row(self) -> str:
         return ",".join(format_float(getattr(self, f.name)) for f in fields(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CurvePoint))
 
 
 def format_float(x) -> str:
@@ -320,10 +330,10 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
     try:
         base = baselines(n, eta)
         point = CurvePoint(
-            sweep_value=value,
+            sweep=value,
             shot_noise=base.shot_noise,
             heisenberg=base.heisenberg,
-            noon_baseline=base.noon_error,
+            noon=base.noon_error,
         )
         if cfg.state_family == "optimal":
             best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points)
@@ -331,13 +341,13 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
         elif cfg.state_family in ("mm", "no"):
             m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
             best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta)
-            point = replace(point, mm_error_min=best, argmin_phi=phi_star)
+            point = replace(point, mm_error=best, argmin_phi=phi_star)
     except (ValueError, ArithmeticError) as exc:  # check() passed, so the numbers broke down
         raise ValidationFailure(f"{where}: {exc}") from exc
-    for column, f in zip(CSV_HEADER.split(","), fields(point)):
+    for f in fields(point):
         x = getattr(point, f.name)
         if x is not None and not math.isfinite(x):
-            raise ValidationFailure(f"{where}: {column} is {x}")
+            raise ValidationFailure(f"{where}: {f.name} is {x}")
     return point
 
 
@@ -431,7 +441,7 @@ def _with_external(rows: list, comparison: dict) -> tuple:
     """Fill ``external`` on the rows whose sweep value, as printed in the
     CSV, equals a comparison value; also return, in file order, the
     comparison values that match no sweep value."""
-    printed = [float(format_float(r.sweep_value)) for r in rows]
+    printed = [float(format_float(r.sweep)) for r in rows]
     seen = set(printed)
     unmatched = tuple(v for v in comparison if v not in seen)
     filled = [replace(r, external=comparison[v]) if v in comparison else r
@@ -454,7 +464,7 @@ def emit_gnu_plot_script(summary: SweepSummary) -> str:
     def col(name: str) -> int:
         return names.index(name) + 1  # gnuplot columns are 1-based
 
-    x = col("sweep_value")
+    x = col("sweep")
     traces = []
     if {"shot_noise", "heisenberg"} <= filled:
         traces.append(
@@ -463,10 +473,10 @@ def emit_gnu_plot_script(summary: SweepSummary) -> str:
         )
     for name, style, title in (
         ("min_rms", "with lines lw 2 lc rgb 'black'", "min RMS"),
-        ("mm_error_min", "with lines lw 2 lc rgb 'black'", "min propagated error"),
+        ("mm_error", "with lines lw 2 lc rgb 'black'", "min propagated error"),
         ("holevo", "with points pt 1 lc rgb 'dark-red'", "Holevo dispersion"),
         ("avg_rms", "with lines dt 2 lc rgb 'grey50'", "avg RMS"),
-        ("noon_baseline", "with lines dt 4 lc rgb 'blue'", "NOON baseline"),
+        ("noon", "with lines dt 4 lc rgb 'blue'", "NOON baseline"),
         ("external", "with lines dt 3 lc rgb 'dark-green'", "external comparison"),
     ):
         if name in filled:

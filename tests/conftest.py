@@ -29,6 +29,6 @@ def random_state(rng):
         from interferolab import FockVector
 
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return FockVector(amps, normalize=True)
+        return FockVector(amps / np.linalg.norm(amps))
 
     return make

@@ -103,7 +103,7 @@ def test_criterion_2_arm_phase_cancellation():
         eta = float(rng.uniform(0.3, 1.0))
         phi = float(rng.uniform(0.0, TWO_PI))
         amps = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
-        state = FockVector(amps, normalize=True)
+        state = FockVector(amps / np.linalg.norm(amps))
         outs = [
             roundtrip_oracle(state, RoundTripConfig(phi, theta, eta, eta)).mat
             for theta in (0.0, 0.7, math.pi)
@@ -206,7 +206,7 @@ def test_criterion_7_channel_and_distribution_sanity():
         ok &= float(np.linalg.eigvalsh(out.mat)[0]) > -1e-9
         dist = povm_distribution(out)
         ok &= abs(float(dist.probs.sum()) - 1.0) < 1e-10
-        u = permutation_unitary(dim).matrix()
+        u = permutation_unitary(dim)
         ok &= np.array_equal(u @ u, np.eye(dim))
     elapsed = time.perf_counter() - started
     report(

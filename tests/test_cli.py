@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -244,13 +245,13 @@ class TestPlotFlag:
 class TestModuleEntryPoint:
     ROOT = Path(__file__).resolve().parent.parent
 
-    def run_module(self, args, cwd):
+    def run_module(self, args, cwd, preexec_fn=None):
         env = dict(os.environ)
         src = str(self.ROOT / "src")
         env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         return subprocess.run(
             [sys.executable, "-m", "interferolab", *args],
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
         )
 
     def test_import_loads_only_numpy_and_stdlib(self, tmp_path):
@@ -272,13 +273,22 @@ class TestModuleEntryPoint:
         assert loaded - {"interferolab", "numpy"} <= set(sys.stdlib_module_names)
         assert "concurrent" not in loaded  # rows run on the calling thread
 
-    # (max - min) / step overflows to inf, so the row count is not a number
+    # (max - min) / step overflows to inf, so the row count is not a number;
+    # or it is finite but far too large to list.  The child runs under a
+    # 1.5 GiB address-space limit, so a check that lists the rows first
+    # fails here with a MemoryError instead of exhausting the machine.
     @pytest.mark.parametrize("argv", [
         ["--n-step", "1e-320"],
         ["--axis", "eta", "--eta-step", "1e-320"],
-    ], ids=["n", "eta"])
+        ["--n-step", "1e-300"],
+        ["--axis", "eta", "--n", "10", "--eta-step", "1e-300"],
+    ], ids=["n", "eta", "n-count", "eta-count"])
     def test_tiny_range_step_is_a_usage_error(self, argv, tmp_path):
-        proc = self.run_module([*argv, "--phi-grid", "8", "--out", "x.csv"], tmp_path)
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        proc = self.run_module([*argv, "--phi-grid", "8", "--out", "x.csv"], tmp_path,
+                               preexec_fn=limit_memory)
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error:")
         assert "Traceback" not in proc.stderr

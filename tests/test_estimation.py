@@ -71,10 +71,9 @@ class TestClosedFormDistribution:
         m, phi = 4, 0.9
         from interferolab import optimal_phase_state, permutation_unitary
 
-        out = permutation_unitary(m + 1).apply(
-            apply_phase(optimal_phase_state(m), phi)
-        )
-        want = povm_distribution(out.to_density()).probs
+        u = permutation_unitary(m + 1)
+        phased = apply_phase(optimal_phase_state(m).to_density(), phi)
+        want = povm_distribution(DensityMatrix(u @ phased.mat @ u.T)).probs
         got = optimal_outcome_distribution(m, 1.0, phi)
         assert np.max(np.abs(got.probs - want)) < 1e-12
 

@@ -12,7 +12,9 @@ from interferolab import (
     FockVector,
     MmStateSpec,
     RoundTripConfig,
+    apply_channel,
     apply_phase,
+    loss_channel,
     mm_error_terms,
     mm_observable,
     mm_output_coefficients,
@@ -46,8 +48,9 @@ class TestRoundTripOracle:
         m, phi = 6, 1.234
         psi = random_state(m + 1)
         out = roundtrip_oracle(psi, RoundTripConfig(phi, 0.0, 1.0, 1.0))
-        ref = permutation_unitary(m + 1).apply(apply_phase(psi, phi))
-        assert np.max(np.abs(out.mat - ref.to_density().mat)) < 1e-12
+        u = permutation_unitary(m + 1)
+        ref = u @ apply_phase(psi.to_density(), phi).mat @ u.T
+        assert np.max(np.abs(out.mat - ref)) < 1e-12
         # rank-1 check
         eigs = np.linalg.eigvalsh(out.mat)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
@@ -94,6 +97,28 @@ class TestRoundTripOracle:
 
         assert np.max(np.abs(two_rounds(phi) - two_rounds(0.0))) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        eta1=st.floats(0.05, 1.0),
+        eta2=st.floats(0.05, 1.0),
+        theta=st.floats(-math.pi, math.pi),
+        phi=st.floats(-math.pi, math.pi),
+    )
+    def test_reversal_matrix_reverses_indices_exactly(self, d, seed, eta1, eta2, theta, phi):
+        # each element of u @ rho @ u.T is one element of rho times 1 plus
+        # others times 0, so the matrix reversal is the index reversal bit for bit
+        g = np.random.default_rng(seed).normal(size=(2, d, d))
+        g = g[0] + 1j * g[1]
+        rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        cfg = RoundTripConfig(phi, theta, eta1, eta2)
+
+        out = apply_channel(apply_phase(rho, phi + theta), loss_channel(eta1, d))
+        out = DensityMatrix(out.mat[::-1, ::-1], check=False)
+        out = apply_channel(apply_phase(out, theta), loss_channel(eta2, d))
+        assert np.array_equal(roundtrip_step(rho, cfg).mat, out.mat)
+
 
 class TestDerivedSizes:
     @settings(max_examples=60, deadline=None)
@@ -110,7 +135,7 @@ class TestDerivedSizes:
         # every size is read off the array passed in: the state's d levels
         # fix the output, the outcome count and the reversal
         amps = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, d))
-        out = roundtrip_oracle(FockVector(amps, normalize=True),
+        out = roundtrip_oracle(FockVector(amps / np.linalg.norm(amps)),
                                RoundTripConfig(phi, theta, eta1, eta2))
         assert out.dim == d
         assert abs(out.trace() - 1.0) <= 1e-12
@@ -119,9 +144,9 @@ class TestDerivedSizes:
         assert abs(probs.sum() - 1.0) <= 1e-12
 
         u = permutation_unitary(d)
-        assert np.array_equal(u.matrix() @ u.matrix(), np.eye(d))
+        assert np.array_equal(u @ u, np.eye(d))
         for n in range(d):
-            assert u.apply(FockVector(np.eye(d)[n])).amps[d - 1 - n] == 1.0
+            assert (u @ np.eye(d)[n])[d - 1 - n] == 1.0
 
         if d >= 2:
             m, m_prime = d - 1, data.draw(st.integers(0, d - 2), label="m_prime")
@@ -261,8 +286,9 @@ class TestOptimalStateOutput:
     def test_lossless_limit_is_pure(self):
         m, phi = 5, 0.77
         got = optimal_state_output(m, 1.0, phi)
-        ref = permutation_unitary(m + 1).apply(apply_phase(optimal_phase_state(m), phi))
-        assert np.max(np.abs(got.mat - ref.to_density().mat)) < 1e-12
+        u = permutation_unitary(m + 1)
+        ref = u @ apply_phase(optimal_phase_state(m).to_density(), phi).mat @ u.T
+        assert np.max(np.abs(got.mat - ref)) < 1e-12
 
     def test_matches_oracle(self):
         m, eta, phi = 2, 0.9, 0.3

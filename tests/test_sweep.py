@@ -71,6 +71,12 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="step"):
             small_cfg(tmp_path, n_range=(2.0, 5.0, 0.0)).check()
 
+    def test_row_count_is_bounded_before_any_row_is_listed(self, tmp_path):
+        rows = sweep_mod.MAX_ROWS
+        small_cfg(tmp_path, n_range=(1.0, 1.0 + 0.5 * (rows - 1), 0.5)).check()
+        with pytest.raises(UsageError, match=f"gives {rows + 1} rows"):
+            small_cfg(tmp_path, n_range=(1.0, 1.0 + 0.5 * rows, 0.5)).check()
+
     def test_rejects_mm_with_small_n(self, tmp_path):
         cfg = small_cfg(tmp_path, state_family="mm", n_range=(2.0, 5.0, 1.0), mm_m_prime=3)
         with pytest.raises(UsageError, match="m_prime"):
@@ -295,10 +301,10 @@ class TestRunSweep:
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 4
-        assert [r.sweep_value for r in summary.rows] == [2.0, 3.0, 4.0, 5.0]
+        assert [r.sweep for r in summary.rows] == [2.0, 3.0, 4.0, 5.0]
         for row in summary.rows:
             assert row.heisenberg <= row.shot_noise
-            assert row.mm_error_min is None
+            assert row.mm_error is None
             assert row.min_rms is not None
 
     def test_no_family_noiseless_hits_half_inverse_n(self, tmp_path):
@@ -311,7 +317,7 @@ class TestRunSweep:
         )
         summary = run_sweep(cfg)
         for row in summary.rows:
-            assert row.mm_error_min == pytest.approx(1.0 / (2 * row.sweep_value), abs=1e-9)
+            assert row.mm_error == pytest.approx(1.0 / (2 * row.sweep), abs=1e-9)
             assert row.min_rms is None
 
     def test_eta_axis_sweep(self, tmp_path):
@@ -325,9 +331,9 @@ class TestRunSweep:
             output_path=str(tmp_path / "eta.csv"),
         )
         summary = run_sweep(cfg)
-        assert [r.sweep_value for r in summary.rows] == [0.6, 0.8, 1.0]
+        assert [r.sweep for r in summary.rows] == [0.6, 0.8, 1.0]
         # less loss improves the minimized error
-        errs = [r.mm_error_min for r in summary.rows]
+        errs = [r.mm_error for r in summary.rows]
         assert errs[0] > errs[1] > errs[2]
 
     def test_mm_summary_has_no_excluded_samples_line(self, tmp_path):
@@ -342,14 +348,14 @@ class TestRunSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             summary = run_sweep(cfg)
-        assert all(r.mm_error_min is not None for r in summary.rows)
+        assert all(r.mm_error is not None for r in summary.rows)
 
     def test_noon_family_rows_only_carry_baselines(self, tmp_path):
         cfg = small_cfg(tmp_path, state_family="noon", n_range=(2.0, 4.0, 1.0))
         summary = run_sweep(cfg)
         for row in summary.rows:
-            assert row.min_rms is None and row.mm_error_min is None
-            assert row.noon_baseline is not None
+            assert row.min_rms is None and row.mm_error is None
+            assert row.noon is not None
 
     def test_validation_gate_writes_reports(self, tmp_path):
         cfg = small_cfg(tmp_path, validate=True, n_range=(2.0, 3.0, 1.0))
@@ -416,6 +422,16 @@ def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
         "--n-min", "5", "--n-max", "100", "--n-step", "1", "--phi-grid", "720", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "mm_vs_n_eta09_mprime3.csv").read_bytes()
+
+
+def test_cli_reproduces_the_validation_report_goldens(tmp_path):
+    # --validate caps the gate at top index 8; both reports are pinned byte
+    # for byte, like the CSV goldens
+    out = tmp_path / "val.csv"
+    assert cli_main(["--validate", "--n-min", "2", "--n-max", "12", "--out", str(out)]) == 0
+    for suffix in ("txt", "kv"):
+        got = (tmp_path / f"val.csv.validation.{suffix}").read_bytes()
+        assert got == (GOLDEN_DIR / f"validation_n2_12.{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("family", ["mm", "no"])
@@ -491,7 +507,7 @@ class TestCsvFormatting:
         assert format_float(math.inf) == "inf"
         assert format_float(-math.inf) == "-inf"
         assert format_float(None) == ""
-        row = CurvePoint(sweep_value=3.0, mm_error_min=math.inf).csv_row()
+        row = CurvePoint(sweep=3.0, mm_error=math.inf).csv_row()
         assert row.split(",")[5] == "inf"
         assert row.split(",")[1] == ""
 
@@ -555,7 +571,7 @@ class TestMergeExternal:
             external_comparison_file=str(comp),
         )
         summary = run_sweep(cfg)
-        assert summary.rows[14].sweep_value != 0.85
+        assert summary.rows[14].sweep != 0.85
         assert [r.external for r in summary.rows] == [None] * 14 + [0.25, None, None]
 
 
