@@ -156,9 +156,13 @@ class MmErrorTerms:
 
 
 def mm_error_terms(spec: MmStateSpec, eta: float) -> MmErrorTerms:
+    """Error-propagation ingredients of the round-trip output at eta."""
+    return _mm_error_terms(spec, mm_output_coefficients(spec, eta))
+
+
+def _mm_error_terms(spec: MmStateSpec, lags: dict) -> MmErrorTerms:
     """Error-propagation ingredients from the lags of the round-trip output:
     MS sums the observable's site populations, C twice the lag-delta sum."""
-    lags = mm_output_coefficients(spec, eta)
     populations, delta = lags[0], spec.delta
     mean_square = 0.0
     for k in range(spec.m_prime + 1):

@@ -4,9 +4,9 @@ States live on the basis |0>..|D-1> of one optical mode.  The module
 provides the pure-state and density-matrix containers and the operators
 of the Kraus reference: the phase shift exp(i*phi*n), the photon-loss
 channel in Kraus form and the Fock-index reversal, a literal d x d
-matrix.  The operators act on density matrices.  Everything is a dense
-numpy array; all containers are immutable after construction and every
-operation is a pure function of its inputs.
+matrix.  The operators act on density matrices, their array forms on
+stacks of them; everything is a dense numpy array, all containers are
+immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -28,35 +28,22 @@ KRAUS_TOL = 1e-10
 _EXACT_BINOM_MAX = 60
 
 
-def _exact_binomials() -> np.ndarray:
-    """Pascal's triangle in rows 0.._EXACT_BINOM_MAX, from exact integers."""
-    t = np.zeros((_EXACT_BINOM_MAX + 1, _EXACT_BINOM_MAX + 1))
-    row = [1]
-    for a in range(_EXACT_BINOM_MAX + 1):
-        t[a, : a + 1] = [float(x) for x in row]
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    t.setflags(write=False)
-    return t
-
-
-_EXACT_BINOM = _exact_binomials()
-
-
 def binomial_table(nmax: int) -> np.ndarray:
     """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax (a fresh array).
 
-    Rows up to _EXACT_BINOM_MAX are copied from the exact Pascal block;
-    only the rows above it are evaluated through log-gamma.
+    Rows up to _EXACT_BINOM_MAX are exact integers rounded once; only the
+    rows above them are evaluated through log-gamma, so the top-left block
+    of a table equals the smaller table bit for bit.
     """
     t = np.zeros((nmax + 1, nmax + 1))
     top = min(nmax, _EXACT_BINOM_MAX)
-    t[: top + 1, : top + 1] = _EXACT_BINOM[: top + 1, : top + 1]
+    for a in range(top + 1):
+        t[a, : a + 1] = [math.comb(a, b) for b in range(a + 1)]
     if nmax > _EXACT_BINOM_MAX:
         lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, nmax + 1)))))
         a = np.arange(top + 1, nmax + 1)[:, None]
         b = np.arange(nmax + 1)[None, :]
-        with np.errstate(invalid="ignore"):
-            big = np.exp(lf[a] - lf[np.minimum(b, a)] - lf[np.maximum(a - b, 0)])
+        big = np.exp(lf[a] - lf[np.minimum(b, a)] - lf[np.maximum(a - b, 0)])
         big[b > a] = 0.0
         t[top + 1 :] = big
     return t
@@ -128,16 +115,21 @@ class DensityMatrix:
         return float(np.trace(self.mat).real)
 
     def validate(self) -> None:
-        m = self.mat
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERM_TOL:
-            raise ValueError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace deviates from 1: {tr!r}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < EIG_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
+        _check_density(self.mat)
+
+
+def _check_density(mats: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack mats (..., d, d) is Hermitian,
+    of unit trace and positive semidefinite, naming the worst value of the failed check."""
+    herm = np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)))
+    if herm > HERM_TOL:
+        raise ValueError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
+    tr = max(np.ravel(np.trace(mats, axis1=-2, axis2=-1)), key=lambda t: abs(t - 1.0))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace deviates from 1: {tr!r}")
+    lo = float(np.linalg.eigvalsh(mats)[..., 0].min())
+    if lo < EIG_TOL:
+        raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,13 +163,19 @@ def permutation_unitary(dim: int) -> np.ndarray:
     return u
 
 
+def _phased(mats: np.ndarray, phis) -> np.ndarray:
+    """mats * exp(i*phi*(n - n')) for each matrix of the stack mats (..., d, d),
+    phi taken from phis, which broadcasts against the stack's leading axes."""
+    ph = np.exp(1j * np.asarray(phis)[..., None] * np.arange(mats.shape[-1]))
+    return mats * (ph[..., :, None] * ph.conj()[..., None, :])
+
+
 def apply_phase(rho: DensityMatrix, phi: float) -> DensityMatrix:
     """Phase shift exp(i*phi*n): the (n, m) element picks up exp(i*(n-m)*phi),
     so the trace is unchanged."""
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
-    ph = np.exp(1j * phi * np.arange(rho.dim))
-    return DensityMatrix(rho.mat * np.outer(ph, ph.conj()), check=False)
+    return DensityMatrix(_phased(rho.mat, phi), check=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -207,12 +205,16 @@ def loss_channel(eta: float, dim: int) -> KrausChannel:
     return KrausChannel(mats)
 
 
+def _kraus_sum(mats: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_i K_i rho K_i^dag for each matrix rho of the stack mats (..., d, d), batched."""
+    return (kraus @ mats[..., None, :, :] @ kraus.conj().transpose(0, 2, 1)).sum(axis=-3)
+
+
 def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    """Kraus-sum action sum_i K_i rho K_i^dag, batched (unchecked; validate where it matters)."""
+    """Kraus-sum action sum_i K_i rho K_i^dag (unchecked; validate where it matters)."""
     if rho.dim != ch.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, channel {ch.dim}")
-    k = ch.kraus
-    return DensityMatrix((k @ rho.mat @ k.conj().transpose(0, 2, 1)).sum(axis=0), check=False)
+    return DensityMatrix(_kraus_sum(rho.mat, ch.kraus), check=False)
 
 
 def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:

@@ -2,16 +2,15 @@
 
 One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
-the reference arm (phase theta, loss eta2).  ``roundtrip_oracle`` plays
-this out with explicit Kraus sums (on the memoised ``loss_channel``) and
-is the ground truth here.  The engine, ``_round_trip``, returns only the
-output's lag diagonals (n - n' = k) that the input occupies, as {k: lag}:
-every lag for the sine state, 0 and delta for the M&M state, O(d)
-numbers each.  The sweep reads that dict directly; ``optimal_state_output``
-and ``mm_state_output`` build d x d matrices from it in one place,
-``_output_matrix``.  Nothing is memoised: each call runs one round trip,
-so a phase scan should build the phi = 0 output once and apply each
-phase to it, as ``validate_closed_forms`` and demo 03 do.
+the reference arm (phase theta, loss eta2).  ``_kraus_round_trip`` plays
+this out with explicit Kraus sums on a stack of density matrices; its
+one-matrix case, ``roundtrip_oracle``, is the ground truth here.  The
+engine, ``_round_trip``, returns only the output's lag diagonals (n - n' = k)
+that the input occupies, as {k: lag}, O(d) numbers each.  Its binomials do
+not depend on eta, so a sweep builds one table for all of its rows; the
+public functions build their own, and ``optimal_state_output`` and
+``mm_state_output`` assemble d x d matrices from the lags.  Each call runs
+one round trip, so a phase scan should apply each phase to one phi = 0 output.
 """
 
 from __future__ import annotations
@@ -24,14 +23,15 @@ import numpy as np
 from .fock import (
     DensityMatrix,
     FockVector,
+    _check_density,
     _check_eta,
-    apply_channel,
-    apply_phase,
+    _kraus_sum,
+    _phased,
     binomial_table,
     loss_channel,
     permutation_unitary,
 )
-from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes, mm_state, optimal_phase_state
+from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes
 
 
 @dataclass(frozen=True)
@@ -51,40 +51,42 @@ class RoundTripConfig:
         _check_eta(self.eta2)
 
 
-def roundtrip_step(rho: DensityMatrix, cfg: RoundTripConfig) -> DensityMatrix:
-    """One full round trip applied to a density matrix; the reversal is the
-    rho.dim x rho.dim matrix u, applied as u @ rho @ u.T."""
-    d = rho.dim
-    out = apply_phase(rho, cfg.phi + cfg.theta)
-    out = apply_channel(out, loss_channel(cfg.eta1, d))
+def _kraus_round_trip(mats, phis, theta: float, eta1: float, eta2: float) -> np.ndarray:
+    """One round trip on each matrix of the stack mats (..., d, d), unchecked, at
+    phi from phis (broadcast against the leading axes): phase phi + theta, loss
+    eta1, the reversal as the d x d matrix u (u @ rho @ u.T), phase theta, loss eta2."""
+    d = mats.shape[-1]
+    out = _kraus_sum(_phased(mats, np.add(phis, theta)), loss_channel(eta1, d).kraus)
     u = permutation_unitary(d)
-    out = DensityMatrix(u @ out.mat @ u.T, check=False)
-    out = apply_phase(out, cfg.theta)
-    out = apply_channel(out, loss_channel(cfg.eta2, d))
-    return out
+    return _kraus_sum(_phased(u @ out @ u.T, theta), loss_channel(eta2, d).kraus)
+
+
+def roundtrip_step(rho: DensityMatrix, cfg: RoundTripConfig) -> DensityMatrix:
+    """One full round trip applied to a density matrix (unchecked)."""
+    out = _kraus_round_trip(rho.mat, cfg.phi, cfg.theta, cfg.eta1, cfg.eta2)
+    return DensityMatrix(out, check=False)
 
 
 def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
-    """Brute-force protocol output after one round trip.
-
-    No closed forms anywhere: the input projector is pushed through
-    phase, loss and permutation operations term by term.
-    """
-    rho = roundtrip_step(state.to_density(), cfg)
-    return DensityMatrix(rho.mat, check=True)
+    """Brute-force protocol output after one round trip, checked: no closed forms
+    anywhere, the input projector is pushed through phase, loss and permutation
+    operations term by term."""
+    return DensityMatrix(roundtrip_step(state.to_density(), cfg).mat, check=True)
 
 
-def _loss_amplitudes(d: int, eta: float) -> np.ndarray:
-    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping
-    a of c photons; raises ValueError once the binomials overflow double
-    (d > 1030).  (1-eta) is raised to each loss count once and gathered."""
+_BINOM_OVERFLOW = 1030  # binomials of this n and above overflow double
+
+
+def _loss_amplitudes(d: int, eta: float, binom=None) -> np.ndarray:
+    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping a of
+    c photons, C from the top-left block of binom (a binomial_table of at least d
+    rows; None builds one).  (1-eta) is raised to each loss count once."""
+    if d > _BINOM_OVERFLOW:  # raised before anything d x d is built
+        raise ValueError(f"loss amplitudes are non-finite: binomials of {_BINOM_OVERFLOW} overflow")
+    binom = (binomial_table(d - 1) if binom is None else binom)[:d, :d]
     n = np.arange(d)
     kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
-    with np.errstate(invalid="ignore"):
-        amp = np.sqrt(binomial_table(d - 1).T * eta**kept * ((1.0 - eta) ** n)[lost])
-    if not np.isfinite(amp).all():
-        raise ValueError(f"loss amplitudes are non-finite: binomials of {d - 1} overflow")
-    return amp
+    return np.sqrt(binom.T * eta**kept * ((1.0 - eta) ** n)[lost])
 
 
 def _occupied_lags(amps: np.ndarray) -> np.ndarray:
@@ -94,11 +96,11 @@ def _occupied_lags(amps: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.convolve(occ, occ[::-1])[amps.size - 1 :])
 
 
-def _round_trip(amps: np.ndarray, eta: float) -> dict:
+def _round_trip(amps: np.ndarray, eta: float, binom=None) -> dict:
     """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
     the round-trip output at phi = 0 with transmissivity eta in both arms,
-    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies.
-    Each call runs one round trip; the phase of a scan is applied afterwards.
+    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies,
+    with loss amplitudes from ``binom`` (see ``_loss_amplitudes``).
 
     Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
     with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
@@ -106,7 +108,7 @@ def _round_trip(amps: np.ndarray, eta: float) -> dict:
     below 0 mirror lags above 0.
     """
     d = amps.size
-    amp = _loss_amplitudes(d, eta)
+    amp = _loss_amplitudes(d, eta, binom)
     lags = {}
     for k in map(int, _occupied_lags(amps)):
         w = amp[: d - k, : d - k] * amp[k:, k:]
@@ -135,8 +137,6 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
     """Round-trip output for the optimal phase state (single round, equal
     transmissivity in both arms), assembled from the lags the sweep reads.
     Matches ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
-    Each call runs one round trip, so a phase scan should build the phi = 0
-    output once and apply each phase to it, as demo 03 does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -146,13 +146,9 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
 
 def mm_output_coefficients(spec: MmStateSpec, eta: float) -> dict:
     """Lags of the M&M round trip at phi = 0: {0: the diagonal, delta: the
-    coherences of sites j and j + delta for j = 0..m_prime}.
-
-    The input occupies lags 0 and +-delta only, and loss and the reversal
-    keep lags apart, so these two O(d) vectors are the whole output.  Each
-    call runs one round trip, so a phase scan should build them once and
-    apply each phase to them, as demo 03 does with the sine state.
-    """
+    coherences of sites j and j + delta for j = 0..m_prime}.  The input occupies
+    lags 0 and +-delta only, and loss and the reversal keep lags apart, so these
+    two O(d) vectors are the whole output."""
     _check_eta(eta)
     return _round_trip(_mm_amplitudes(spec), eta)
 
@@ -224,13 +220,6 @@ class ValidationReport:
             fh.write(f"status={'pass' if self.passed else 'fail'}\n")
 
 
-def _dev_cell(form, m, m_prime, eta, phi, got: DensityMatrix, want: DensityMatrix):
-    diff = np.abs(got.mat - want.mat)
-    flat = int(np.argmax(diff))
-    coords = np.unravel_index(flat, diff.shape)
-    return ValidationCell(form, m, m_prime, eta, phi, float(diff[coords]), tuple(int(x) for x in coords))
-
-
 _VALIDATION_TOLERANCE = 1e-10
 _VALIDATION_THETA = 0.37  # arm phase of the oracle runs, which the round trip cancels
 _VALIDATION_ETAS = (0.5, 0.9, 1.0)
@@ -238,26 +227,28 @@ _VALIDATION_PHIS = (0.0, 0.3, 1.2)
 
 
 def validate_closed_forms(max_m: int) -> ValidationReport:
-    """Compare both production outputs against the brute-force oracle on a grid.
-
-    For every m <= max_m, every (eta, phi) cell is checked for the sine
-    state and for a few M&M splittings.  The report records the worst
-    elementwise deviation per cell and the overall argmax.  Each (m, eta)
-    runs one round trip per state, whose lags serve every phase.
-    """
+    """Compare both production outputs against the brute-force oracle on a grid:
+    every (eta, phi) cell of every m <= max_m, for the sine state and a few M&M
+    splittings, recording the worst elementwise deviation per cell.  Each (m, eta)
+    runs one lag round trip per state, whose lags serve every phase, and one Kraus
+    round trip on the stack of its states at all phases, checked at once."""
+    binom = binomial_table(max_m)
+    phis = np.array(_VALIDATION_PHIS)[:, None]  # the stack: phases down, states across
     cells = []
     for m in range(1, max_m + 1):
         specs = [MmStateSpec(m, mp) for mp in sorted({0, m // 2, m - 1})]
+        forms = [("rho", -1)] + [("sigma", spec.m_prime) for spec in specs]
         for eta in _VALIDATION_ETAS:
-            sine_lags = _round_trip(_sine_amplitudes(m), eta)
-            mm_lags = [mm_output_coefficients(spec, eta) for spec in specs]
-            for phi in _VALIDATION_PHIS:
-                cfg = RoundTripConfig(phi, _VALIDATION_THETA, eta, eta)
-                oracle = roundtrip_oracle(optimal_phase_state(m), cfg)
-                closed = _output_matrix(sine_lags, phi, False)
-                cells.append(_dev_cell("rho", m, -1, eta, phi, closed, oracle))
-                for spec, lags in zip(specs, mm_lags):
-                    oracle = roundtrip_oracle(mm_state(spec), cfg)
-                    closed = _output_matrix(lags, phi, False)
-                    cells.append(_dev_cell("sigma", m, spec.m_prime, eta, phi, closed, oracle))
+            amps = [_sine_amplitudes(m)] + [_mm_amplitudes(spec) for spec in specs]
+            kets = np.array(amps, dtype=complex)
+            oracle = _kraus_round_trip(kets[:, :, None] * kets[:, None, :].conj(), phis,
+                                       _VALIDATION_THETA, eta, eta)
+            _check_density(oracle)
+            lags = [_round_trip(a, eta, binom) for a in amps]
+            closed = [[_output_matrix(lag, phi, False).mat for lag in lags]
+                      for phi in _VALIDATION_PHIS]
+            for phi, devs in zip(_VALIDATION_PHIS, np.abs(closed - oracle)):
+                for (form, mp), dev in zip(forms, devs):
+                    i, j = divmod(int(dev.argmax()), m + 1)
+                    cells.append(ValidationCell(form, m, mp, eta, phi, float(dev[i, j]), (i, j)))
     return ValidationReport(tuple(cells), _VALIDATION_TOLERANCE)

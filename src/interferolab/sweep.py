@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import _holevo_dispersion, baselines, mm_error_terms, mm_phase_error_closed
-from .protocol import ValidationReport, _round_trip, validate_closed_forms
-from .states import MmStateSpec, _sine_amplitudes
+from .estimation import _holevo_dispersion, _mm_error_terms, baselines, mm_phase_error_closed
+from .fock import binomial_table
+from .protocol import _BINOM_OVERFLOW, ValidationReport, _round_trip, validate_closed_forms
+from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes
 
 FAMILIES = ("optimal", "mm", "no", "noon")
 
@@ -193,10 +194,11 @@ class _SineCurve:
     closed-form series in the c_k, so no outcome probability is formed.
     """
 
-    def __init__(self, m: int, eta: float):
+    def __init__(self, m: int, eta: float, binom: np.ndarray):
         # summed as complex, like np.sum over a complex diagonal: a real sum pairs
         # the terms differently, and min_rms at N = 28 of the default sweep moves
-        sums = [lag.sum(dtype=complex).real for lag in _round_trip(_sine_amplitudes(m), eta).values()]
+        diagonals = _round_trip(_sine_amplitudes(m), eta, binom).values()
+        sums = [lag.sum(dtype=complex).real for lag in diagonals]
         self.d = d = m + 1
         self.lags = lags = np.arange(1, d)
         self.trace, self.lag_sums = float(sums[0]), np.array(sums[1:])
@@ -285,7 +287,7 @@ class _SineCurve:
         return hi
 
 
-def _optimal_fast_row(m: int, eta: float, grid_points: int):
+def _optimal_fast_row(m: int, eta: float, grid_points: int, binom: np.ndarray):
     """Error figures for the sine state from the lag sums of its phi = 0 output.
 
     The reported phase is the minimiser folded into [0, pi/(m+1)] (see
@@ -296,7 +298,7 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int):
     each folded onto the half-cell by ``_SineCurve.rms`` and evaluated
     in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
     """
-    curve = _SineCurve(m, eta)
+    curve = _SineCurve(m, eta, binom)
     grid = TWO_PI / grid_points * np.arange(grid_points)
     block = max(1, PHASE_BLOCK_ELEMENTS // curve.d)
     avg = float(np.concatenate([
@@ -307,7 +309,7 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int):
     return float(curve.rms(phi_star)), phi_star, avg, holevo
 
 
-def _mm_row(spec: MmStateSpec, eta: float):
+def _mm_row(spec: MmStateSpec, eta: float, binom: np.ndarray):
     """Least propagated error of the two-component state, and its phase.
 
     The mean square MS and coherence C of the observable do not depend on
@@ -317,10 +319,11 @@ def _mm_row(spec: MmStateSpec, eta: float):
     by convention where the curve is flat, as at eta = 1).
     """
     phi_star = math.pi / (2 * spec.delta)
-    return mm_phase_error_closed(mm_error_terms(spec, eta), phi_star), phi_star
+    terms = _mm_error_terms(spec, _round_trip(_mm_amplitudes(spec), eta, binom))
+    return mm_phase_error_closed(terms, phi_star), phi_star
 
 
-def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
+def _compute_row(cfg: SweepConfig, value: float, binom: np.ndarray | None) -> CurvePoint:
     if cfg.sweep_axis == "n":
         n, eta = value, cfg.fixed_eta
     else:
@@ -336,11 +339,11 @@ def _compute_row(cfg: SweepConfig, value: float) -> CurvePoint:
             noon=base.noon_error,
         )
         if cfg.state_family == "optimal":
-            best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points)
+            best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points, binom)
             point = replace(point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
         elif cfg.state_family in ("mm", "no"):
             m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
-            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta)
+            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta, binom)
             point = replace(point, mm_error=best, argmin_phi=phi_star)
     except (ValueError, ArithmeticError) as exc:  # check() passed, so the numbers broke down
         raise ValidationFailure(f"{where}: {exc}") from exc
@@ -375,13 +378,11 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     comp_path = cfg.external_comparison_file
     external = _read_comparison(comp_path) if comp_path else {}
 
+    top = max(map(cfg._top_index, values if cfg.sweep_axis == "n" else [cfg.fixed_n]))
     report = None
     report_paths = ()
     if cfg.validate:
-        max_m = min(8, max(cfg._top_index(n) for n in (
-            values if cfg.sweep_axis == "n" else [cfg.fixed_n]
-        )))
-        report = validate_closed_forms(max_m)
+        report = validate_closed_forms(min(8, top))
         base = Path(cfg.output_path)
         txt = base.with_name(base.name + ".validation.txt")
         kv = base.with_name(base.name + ".validation.kv")
@@ -394,7 +395,9 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 f"not below tolerance {report.tolerance:.1e} (report: {txt})"
             )
 
-    rows = [_compute_row(cfg, v) for v in values]
+    # the binomials do not depend on eta, so one table serves every row; noon rows read none
+    binom = None if cfg.state_family == "noon" else binomial_table(min(top, _BINOM_OVERFLOW - 1))
+    rows = [_compute_row(cfg, v, binom) for v in values]
     rows, unmatched = _with_external(rows, external)
 
     lines = [CSV_HEADER] + [r.csv_row() for r in rows]

@@ -294,6 +294,23 @@ class TestModuleEntryPoint:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    # binomials of 1030 and above overflow double, so a row with top index 40000
+    # must fail; it does so before building anything d x d (a 40001 x 40001
+    # table would need 12.8 GB, far above the child's 1.5 GiB limit), and the
+    # row's error names the first binomial row that overflows
+    @pytest.mark.parametrize("family", ["optimal", "mm"])
+    def test_row_past_the_binomial_limit_fails_before_building_it(self, family, tmp_path):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        proc = self.run_module(["--family", family, "--m-prime", "0", "--eta", "1.0",
+                                "--n-min", "20000", "--n-max", "20000", "--out", "x.csv"],
+                               tmp_path, preexec_fn=limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("validation failure: sweep=20000 (top index 40000): ")
+        assert "binomials of 1030 overflow" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     # transmissivities so small that a baseline or the Holevo dispersion
     # overflows, divides by zero or prints inf
     @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import interferolab.protocol as protocol_mod
@@ -28,8 +28,14 @@ from interferolab import (
     roundtrip_step,
     validate_closed_forms,
 )
-from interferolab.fock import binomial_table
-from interferolab.protocol import _loss_amplitudes, _occupied_lags, _round_trip
+from interferolab.fock import _check_density, binomial_table
+from interferolab.protocol import (
+    _kraus_round_trip,
+    _loss_amplitudes,
+    _occupied_lags,
+    _output_matrix,
+    _round_trip,
+)
 from interferolab.states import _mm_amplitudes, _sine_amplitudes
 
 
@@ -120,6 +126,58 @@ class TestRoundTripOracle:
         assert np.array_equal(roundtrip_step(rho, cfg).mat, out.mat)
 
 
+class TestStackedRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 10),
+        states=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        eta1=st.floats(0.05, 1.0),
+        eta2=st.floats(0.05, 1.0),
+        theta=st.floats(-math.pi, math.pi),
+    )
+    def test_stack_equals_roundtrip_step_on_each_matrix(self, d, states, seed, eta1, eta2, theta):
+        # a stack of phases x states, laid out as in the validation gate, goes
+        # through the same operations in the same order as roundtrip_step
+        assume(eta1 != eta2)
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(states, d, d)) + 1j * rng.normal(size=(states, d, d))
+        rhos = g @ g.conj().transpose(0, 2, 1)
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        phis = rng.uniform(-math.pi, math.pi, size=3)
+        got = _kraus_round_trip(rhos, phis[:, None], theta, eta1, eta2)
+        assert got.shape == (3, states, d, d)
+        for p, phi in enumerate(phis):
+            cfg = RoundTripConfig(float(phi), theta, eta1, eta2)
+            for s, rho in enumerate(rhos):
+                want = roundtrip_step(DensityMatrix(rho, check=False), cfg).mat
+                assert np.array_equal(got[p, s], want)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("hermitian", "not Hermitian"),
+        ("trace", "trace deviates"),
+        ("eigenvalue", "negative eigenvalue"),
+    ])
+    def test_stacked_check_rejects_one_bad_matrix(self, kind, message, random_density):
+        # one bad matrix among valid ones fails the whole stack, with the
+        # message DensityMatrix.validate gives for that matrix alone
+        stack = np.array([random_density(4).mat for _ in range(6)]).reshape(2, 3, 4, 4)
+        _check_density(stack)
+        if kind == "hermitian":
+            bad = stack[1, 2].copy()
+            bad[0, 1] += 1e-6
+        elif kind == "trace":
+            bad = 1.01 * stack[1, 2]
+        else:
+            bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        stack[1, 2] = bad
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(bad)
+        with pytest.raises(ValueError, match=message) as stacked:
+            _check_density(stack)
+        assert str(stacked.value) == str(single.value)
+
+
 class TestDerivedSizes:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -165,6 +223,12 @@ def _from_lags(lags: dict, d: int) -> np.ndarray:
     for k, lag in lags.items():
         out += np.diag(lag, k) + (np.diag(lag, -k) if k else 0.0)
     return out
+
+
+@pytest.fixture(scope="module")
+def largest_table():
+    """The binomial table of the largest top index whose binomials are finite."""
+    return binomial_table(1029)
 
 
 def _lag_weights(d: int, eta: float, k: int) -> np.ndarray:
@@ -253,15 +317,18 @@ class TestLossMap:
 
     @pytest.mark.parametrize("eta", [0.5, 0.9, 0.9266, 1.0])
     @pytest.mark.parametrize("d", [2, 61, 62, 181, 182, 301, 1030])
-    def test_table_bitwise_equal_to_the_elementwise_power(self, d, eta):
+    def test_table_bitwise_equal_to_the_elementwise_power(self, d, eta, largest_table):
         # (1-eta) is raised to each loss count once and gathered; values and
-        # memory order must equal those of the d x d power, bit for bit
+        # memory order must equal those of the d x d power, bit for bit, both
+        # from the table's own binomials and from a block cut from a larger
+        # table, as a sweep passes it to every row
         n = np.arange(d)
         kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
         want = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
-        got = _loss_amplitudes(d, eta)
-        assert got.strides == want.strides
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for binom in (None, largest_table):
+            got = _loss_amplitudes(d, eta, binom)
+            assert got.strides == want.strides
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("d, c_order", [(181, True), (182, False)])
     def test_table_memory_order_is_pinned(self, d, c_order):
@@ -271,10 +338,12 @@ class TestLossMap:
         amp = _loss_amplitudes(d, 0.9)
         assert (amp.flags.c_contiguous, amp.flags.f_contiguous) == (c_order, not c_order)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_binomials_raise(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            _loss_amplitudes(1031, 0.9)
+    def test_overflowing_binomials_raise(self, largest_table):
+        # binomials of 1030 overflow double: the check comes before any table is
+        # built, and names the first row that overflows whatever d is
+        for d, binom in [(1031, None), (1031, largest_table), (10**9, None)]:
+            with pytest.raises(ValueError, match="non-finite: binomials of 1030 overflow"):
+                _loss_amplitudes(d, 0.9, binom)
 
 
 class TestOptimalStateOutput:
@@ -479,3 +548,61 @@ class TestValidateClosedForms:
         lossless = [c for c in validate_closed_forms(1).cells if c.eta == 1.0]
         assert len(lossless) == 6  # 3 phases x (the sine state and the one M&M splitting)
         assert max(c.max_dev for c in lossless) < 1e-14
+
+    @pytest.mark.parametrize("max_m", range(1, 9))
+    def test_cells_equal_the_per_cell_oracle_loop(self, max_m):
+        # the reference is the loop the stacked gate replaced: one checked
+        # oracle run and one assembled output per cell; max_dev must match
+        # bit for bit and the worst element exactly
+        want = []
+        for m in range(1, max_m + 1):
+            specs = [MmStateSpec(m, mp) for mp in sorted({0, m // 2, m - 1})]
+            for eta in (0.5, 0.9, 1.0):
+                sine_lags = _round_trip(_sine_amplitudes(m), eta)
+                mm_lags = [mm_output_coefficients(spec, eta) for spec in specs]
+                for phi in (0.0, 0.3, 1.2):
+                    cfg = RoundTripConfig(phi, 0.37, eta, eta)
+                    runs = [("rho", -1, optimal_phase_state(m), sine_lags)]
+                    runs += [("sigma", s.m_prime, mm_state(s), lags) for s, lags in zip(specs, mm_lags)]
+                    for form, mp, state, lags in runs:
+                        closed = _output_matrix(lags, phi, False).mat
+                        diff = np.abs(closed - roundtrip_oracle(state, cfg).mat)
+                        worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
+                        want.append((form, m, mp, eta, phi, float(diff[worst]).hex(),
+                                     tuple(int(x) for x in worst)))
+        got = [(c.form, c.m, c.m_prime, c.eta, c.phi, c.max_dev.hex(), c.worst_element)
+               for c in validate_closed_forms(max_m).cells]
+        assert got == want
+
+    def test_one_stacked_round_trip_per_m_and_eta(self, monkeypatch):
+        # 8 values of m times 3 transmissivities: each (m, eta) pushes the stack
+        # of its 3 phases x (the sine state and its M&M splittings) through one
+        # Kraus round trip, checked as density matrices at once, and the gate
+        # builds one binomial table in all
+        stacks, checked, tables = [], [], []
+        kraus_round_trip = protocol_mod._kraus_round_trip
+
+        def counting_round_trip(mats, phis, *args):
+            stacks.append(np.broadcast_shapes(mats.shape[:-2], np.shape(phis)))
+            return kraus_round_trip(mats, phis, *args)
+
+        def counting_check(mats):
+            checked.append(mats.shape[:-2])
+            _check_density(mats)
+
+        def counting_table(nmax):
+            tables.append(nmax)
+            return binomial_table(nmax)
+
+        def no_oracle(*args):
+            raise AssertionError("the gate runs no per-cell oracle")
+
+        monkeypatch.setattr(protocol_mod, "_kraus_round_trip", counting_round_trip)
+        monkeypatch.setattr(protocol_mod, "_check_density", counting_check)
+        monkeypatch.setattr(protocol_mod, "binomial_table", counting_table)
+        monkeypatch.setattr(protocol_mod, "roundtrip_oracle", no_oracle)
+        monkeypatch.setattr(protocol_mod, "roundtrip_step", no_oracle)
+        validate_closed_forms(8)
+        assert stacks == [(3, 1 + len({0, m // 2, m - 1})) for m in range(1, 9) for _ in range(3)]
+        assert checked == stacks
+        assert tables == [8]

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interferolab.fock as fock_mod
+import interferolab.protocol as protocol_mod
 import interferolab.sweep as sweep_mod
 from interferolab import (
     CSV_HEADER,
@@ -33,6 +35,7 @@ from interferolab import (
     run_sweep,
 )
 from interferolab.cli import main as cli_main
+from interferolab.fock import binomial_table
 from interferolab.sweep import (
     FAMILIES,
     CurvePoint,
@@ -107,7 +110,7 @@ class TestRowMachinery:
          (40, 0.9, 500)],
     )
     def test_fast_row_matches_public_operations(self, m, eta, grid):
-        best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid)
+        best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid, binomial_table(m))
 
         rho0 = optimal_state_output(m, eta, 0.0)
 
@@ -133,7 +136,7 @@ class TestRowMachinery:
     def test_lag_sums_equal_the_diagonal_sums_of_the_output_matrix(self, m, eta):
         # bit for bit: the sweep's lag sums are the complex diagonal sums of the
         # matrix that --validate checks; d >= 182 uses the F-order loss table
-        curve = _SineCurve(m, eta)
+        curve = _SineCurve(m, eta, binomial_table(m))
         mat = optimal_state_output(m, eta, 0.0, check=False).mat
         want = np.array([np.sum(np.diagonal(mat, k)) for k in range(m + 1)]).real
         got = np.array([curve.trace, *curve.lag_sums])
@@ -148,7 +151,7 @@ class TestRowMachinery:
 
     def test_mm_row_matches_pointwise_error(self):
         spec, eta, grid = MmStateSpec(8, 2), 0.8, 120
-        best, phi_star = _mm_row(spec, eta)
+        best, phi_star = _mm_row(spec, eta, binomial_table(spec.m))
         period = TWO_PI / spec.delta
 
         def err(phi):
@@ -176,7 +179,7 @@ class TestRowMachinery:
         # for the last bits where the curve is flat to rounding (eta near 1:
         # up to 2 ulps seen over m <= 60)
         spec = MmStateSpec(m, int(frac * m))
-        best, phi_star = _mm_row(spec, eta)
+        best, phi_star = _mm_row(spec, eta, binomial_table(spec.m))
         assert phi_star == math.pi / (2 * spec.delta)
         terms = mm_error_terms(spec, eta)
         err = lambda phi: mm_phase_error_closed(terms, phi)
@@ -186,7 +189,7 @@ class TestRowMachinery:
 
     def test_non_finite_mm_error_fails_the_run(self, tmp_path, monkeypatch):
         # no coherence left: the error is infinite at every phase
-        monkeypatch.setattr(sweep_mod, "mm_error_terms", lambda spec, eta: MmErrorTerms(
+        monkeypatch.setattr(sweep_mod, "_mm_error_terms", lambda spec, lags: MmErrorTerms(
             0.5, 0.0, spec.delta))
         with pytest.raises(ValidationFailure, match=r"sweep=5 \(top index 7\): mm_error is inf"):
             run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0)))
@@ -208,12 +211,13 @@ class TestFoldedArgmin:
         assert public_rms(m, eta, phi + TWO_PI / (m + 1)) == pytest.approx(here, rel=1e-12)
         assert public_rms(m, eta, -phi) == pytest.approx(here, rel=1e-12)
         # the fast route folds phi onto [0, pi/(m+1)] before it evaluates the series
-        assert _SineCurve(m, eta).rms(phi) == pytest.approx(here, rel=1e-12, abs=1e-14)
+        rms = _SineCurve(m, eta, binomial_table(m)).rms(phi)
+        assert rms == pytest.approx(here, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("eta", [0.7, 0.9, 1.0])
     @pytest.mark.parametrize("m", [181, 300])
     def test_rms_is_accurate_at_large_m(self, m, eta):
-        curve = _SineCurve(m, eta)
+        curve = _SineCurve(m, eta, binomial_table(m))
         for phi in (0.0, 0.4 * math.pi / (m + 1), -2.0, 7.0):
             assert curve.rms(phi) == pytest.approx(public_rms(m, eta, phi), rel=2e-11, abs=0.0), phi
 
@@ -222,40 +226,41 @@ class TestFoldedArgmin:
     def test_slope_is_derivative_of_rms_squared(self, m, eta, frac):
         phi, h = frac * math.pi / (m + 1), 1e-5
         fd = (public_rms(m, eta, phi + h) ** 2 - public_rms(m, eta, phi - h) ** 2) / (2 * h)
-        got = _SineCurve(m, eta).rms2_slope([phi])[0]
+        got = _SineCurve(m, eta, binomial_table(m)).rms2_slope([phi])[0]
         assert got == pytest.approx(fd, abs=1e-8)
 
     @settings(max_examples=25, deadline=None)
     @given(half_m=st.integers(1, 30), eta=st.floats(0.05, 1.0))
     def test_even_m_reports_the_lattice_point(self, half_m, eta):
-        assert _optimal_fast_row(2 * half_m, eta, 8)[1] == 0.0
+        assert _optimal_fast_row(2 * half_m, eta, 8, binomial_table(2 * half_m))[1] == 0.0
 
     @pytest.mark.parametrize("m, eta", [(1, 0.9), (5, 0.9), (13, 0.9)])
     def test_odd_m_minimiser_is_a_sign_change_of_the_slope(self, m, eta):
-        phi_star = _optimal_fast_row(m, eta, 8)[1]
+        phi_star = _optimal_fast_row(m, eta, 8, binomial_table(m))[1]
         assert 0.0 < phi_star <= math.pi / (m + 1)
-        slope = _SineCurve(m, eta).rms2_slope([phi_star * (1 - 1e-6), phi_star * (1 + 1e-6)])
+        curve = _SineCurve(m, eta, binomial_table(m))
+        slope = curve.rms2_slope([phi_star * (1 - 1e-6), phi_star * (1 + 1e-6)])
         assert slope[0] < 0.0 < slope[1]
 
     def test_odd_m_minimiser_can_be_the_half_cell_point(self):
         # at strong loss the curve falls across the whole half-cell
-        assert _optimal_fast_row(3, 0.3, 8)[1] == math.pi / 4
+        assert _optimal_fast_row(3, 0.3, 8, binomial_table(3))[1] == math.pi / 4
 
     def test_lossless_odd_m_has_no_kink_to_fall_off(self):
         # at eta = 1 the outcome at distance pi has probability zero
-        assert _optimal_fast_row(5, 1.0, 8)[1] == 0.0
+        assert _optimal_fast_row(5, 1.0, 8, binomial_table(5))[1] == 0.0
 
     def test_odd_m_sweep_row_reports_the_fast_row_minimiser(self, tmp_path):
         cfg = small_cfg(tmp_path, n_range=(1.5, 6.5, 1.0), phi_grid_points=16)
         row = run_sweep(cfg).rows[2]  # n = 3.5, m = 7
-        assert row.argmin_phi == _optimal_fast_row(7, 0.9, 16)[1]
+        assert row.argmin_phi == _optimal_fast_row(7, 0.9, 16, binomial_table(7))[1]
         assert 0.0 < row.argmin_phi < math.pi / 8
 
     @pytest.mark.parametrize("spec", [MmStateSpec(8, 2), MmStateSpec(9, 4), MmStateSpec(6, 0)])
     @pytest.mark.parametrize("eta", [0.6, 0.95, 1.0])
     def test_mm_reports_quarter_period_off_the_grid(self, spec, eta):
         # a 90-point grid misses delta*phi = pi/2; the reported phase does not
-        best, phi_star = _mm_row(spec, eta)
+        best, phi_star = _mm_row(spec, eta, binomial_table(spec.m))
         assert phi_star == math.pi / (2 * spec.delta)
 
         def err(phi):
@@ -280,9 +285,9 @@ class TestRunSweep:
         compute_row = sweep_mod._compute_row
         calls = []
 
-        def recording_row(cfg, value):
+        def recording_row(cfg, value, binom):
             calls.append((threading.get_ident(), value))
-            return compute_row(cfg, value)
+            return compute_row(cfg, value, binom)
 
         monkeypatch.setattr(sweep_mod, "_compute_row", recording_row)
         monkeypatch.delenv("INTERF_THREADS", raising=False)
@@ -295,6 +300,43 @@ class TestRunSweep:
             run_sweep(replace(cfg, output_path=str(out)))
             assert calls == [(threading.get_ident(), n) for n in (4.0, 5.0, 6.0, 7.0)]
             assert out.read_bytes() == (tmp_path / "unset.csv").read_bytes()
+
+    def test_work_counts_do_not_grow_with_the_rows(self, tmp_path, monkeypatch):
+        # the binomial table does not depend on eta, so a sweep builds one for its
+        # largest top index, on either axis and whatever its row count; with
+        # --validate the gate adds one table of its own, one stacked Kraus round
+        # trip per (m, eta) and the tables of the 24 memoised loss channels; noon
+        # rows use no table, so a noon sweep builds none
+        tables, stacks = [], []
+        kraus_round_trip = protocol_mod._kraus_round_trip
+
+        def counting_table(nmax):
+            tables.append(nmax)
+            return binomial_table(nmax)
+
+        def counting_round_trip(*args):
+            stacks.append(args[0].shape)
+            return kraus_round_trip(*args)
+
+        for mod in (fock_mod, protocol_mod, sweep_mod):
+            monkeypatch.setattr(mod, "binomial_table", counting_table)
+        monkeypatch.setattr(protocol_mod, "_kraus_round_trip", counting_round_trip)
+        for kw, top in [
+            (dict(n_range=(2.0, 2.0, 1.0)), 4),
+            (dict(n_range=(2.0, 40.0, 1.0)), 80),
+            (dict(state_family="mm", n_range=(5.0, 60.0, 1.0)), 117),
+            (dict(sweep_axis="eta", fixed_n=8.0, eta_range=(0.5, 1.0, 0.05)), 16),
+            (dict(state_family="noon", n_range=(2.0, 400.0, 1.0)), None),
+        ]:
+            tables.clear()
+            run_sweep(small_cfg(tmp_path, **kw))
+            assert tables == ([] if top is None else [top])
+        assert stacks == []
+        tables.clear()
+        fock_mod.loss_channel.cache_clear()
+        run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 30.0, 1.0), validate=True))
+        assert tables == [8] + [m for m in range(1, 9) for _ in range(3)] + [57]
+        assert len(stacks) == 24
 
     def test_header_and_shape(self, tmp_path):
         summary = run_sweep(small_cfg(tmp_path))
