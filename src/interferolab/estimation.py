@@ -5,25 +5,21 @@ RMS, the Holevo variance of the continuous phase distribution, the
 two-component hopping observable with error propagation (its sums read
 off the round trip's lags, the phase given per call), the reference
 phase scanner, and the shot-noise / Heisenberg / lossy-NOON references.
+The NOON brute force builds one loss channel per call and applies it to
+each arm's indices in turn.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _check_eta, apply_channel, expectation
+from .fock import DensityMatrix, _check_eta, expectation, loss_channel
 from .protocol import mm_output_coefficients, optimal_state_output
-from .states import (
-    MmStateSpec,
-    noon_state,
-    two_mode_loss_channel,
-    two_mode_phase,
-)
+from .states import MmStateSpec, noon_state, two_mode_phase
 
 PROB_SUM_TOL = 1e-10
 PROB_NEG_TOL = -1e-12
@@ -48,9 +44,9 @@ class OutcomeDistribution:
     def __init__(self, probs, true_phi: float):
         probs = np.asarray(probs, dtype=float).reshape(-1)
         total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:  # written so that NaN fails too
             raise ValueError(f"probabilities sum to {total!r}")
-        if float(probs.min()) < PROB_NEG_TOL:
+        if not float(probs.min()) >= PROB_NEG_TOL:
             raise ValueError(f"negative probability {probs.min()!r}")
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
@@ -149,9 +145,9 @@ class MmErrorTerms:
     delta: int
 
     def __post_init__(self):
-        if self.mean_square < 0.0:
+        if not self.mean_square >= 0.0:  # written so that NaN fails too
             raise ValueError("mean_square must be non-negative")
-        if abs(self.coherence) > 1.0 + 1e-12:
+        if not abs(self.coherence) <= 1.0 + 1e-12:
             raise ValueError("coherence amplitude cannot exceed 1")
 
 
@@ -285,18 +281,15 @@ def noon_observable(n: int) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=32)
-def _noon_loss(n: int, eta: float) -> tuple:
-    """The two arms' loss as two channels of n + 1 Kraus matrices, not one of (n + 1)^2."""
-    dims = (n + 1, n + 1)
-    return two_mode_loss_channel(eta, 1.0, dims), two_mode_loss_channel(1.0, eta, dims)
-
-
-def _noon_output(n: int, eta: float, phi: float) -> DensityMatrix:
-    rho = two_mode_phase(noon_state(n).to_density_flat(), phi, (n + 1, n + 1))
-    for arm in _noon_loss(n, eta):
-        rho = apply_channel(rho, arm)
-    return rho
+def _noon_output(n: int, kraus: np.ndarray, phi: float) -> DensityMatrix:
+    """The NOON state at phase phi after the loss Kraus stack on each arm in turn:
+    as a tensor rho[a, b, a', b'] (arm 1 on a, a'; arm 2 on b, b'), it takes
+    sum_i K_i rho K_i^dag on arm 1's indices, then on arm 2's."""
+    d = n + 1
+    rho = two_mode_phase(noon_state(n).to_density_flat(), phi, (d, d)).mat.reshape(d, d, d, d)
+    rho = np.einsum("ipa,abcd,iqc->pbqd", kraus, rho, kraus.conj(), optimize=True)
+    rho = np.einsum("ipb,abcd,iqd->apcq", kraus, rho, kraus.conj(), optimize=True)
+    return DensityMatrix(rho.reshape(d * d, d * d), check=False)
 
 
 _NOON_FD_STEP = 1e-6  # phase step of the central difference in noon_phase_error_brute
@@ -309,11 +302,12 @@ def noon_phase_error_brute(n: int, eta: float, phi: float) -> float:
     difference, so this path is independent of the closed form.
     """
     a = noon_observable(n)
-    rho = _noon_output(n, eta, phi)
+    kraus = loss_channel(eta, n + 1).kraus
+    rho = _noon_output(n, kraus, phi)
     mean = expectation(rho, a)
     var = max(expectation(rho, a @ a) - mean**2, 0.0)
-    up = expectation(_noon_output(n, eta, phi + _NOON_FD_STEP), a)
-    down = expectation(_noon_output(n, eta, phi - _NOON_FD_STEP), a)
+    up = expectation(_noon_output(n, kraus, phi + _NOON_FD_STEP), a)
+    down = expectation(_noon_output(n, kraus, phi - _NOON_FD_STEP), a)
     slope = abs(up - down) / (2.0 * _NOON_FD_STEP)
     if slope == 0.0:
         return math.inf

@@ -6,12 +6,12 @@ of the Kraus reference: the phase shift exp(i*phi*n), the photon-loss
 channel in Kraus form and the Fock-index reversal, a literal d x d
 matrix.  The operators act on density matrices, their array forms on
 stacks of them; everything is a dense numpy array, all containers are
-immutable after construction and every operation is a pure function.
+immutable after construction and every operation is a pure function that
+builds what it returns, with nothing cached.  Every check fails on NaN.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -70,10 +70,10 @@ class FockVector:
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise ValueError("state needs at least one amplitude")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("non-finite amplitude")
         nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state needs unit norm: |amps|^2 = {nrm2!r}")
         object.__setattr__(self, "amps", _frozen(amps))
 
@@ -122,13 +122,13 @@ def _check_density(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the stack mats (..., d, d) is Hermitian,
     of unit trace and positive semidefinite, naming the worst value of the failed check."""
     herm = np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)))
-    if herm > HERM_TOL:
+    if not herm <= HERM_TOL:
         raise ValueError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
     tr = max(np.ravel(np.trace(mats, axis1=-2, axis2=-1)), key=lambda t: abs(t - 1.0))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"trace deviates from 1: {tr!r}")
     lo = float(np.linalg.eigvalsh(mats)[..., 0].min())
-    if lo < EIG_TOL:
+    if not lo >= EIG_TOL:
         raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
@@ -150,7 +150,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "dim", d)
         dev = np.max(np.abs((stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0) - np.eye(d)))
-        if dev > KRAUS_TOL:
+        if not dev <= KRAUS_TOL:
             raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
 
@@ -178,15 +178,13 @@ def apply_phase(rho: DensityMatrix, phi: float) -> DensityMatrix:
     return DensityMatrix(_phased(rho.mat, phi), check=False)
 
 
-@functools.lru_cache(maxsize=64)
 def loss_channel(eta: float, dim: int) -> KrausChannel:
     """Photon-loss channel with transmissivity eta on a dim-level mode.
 
     The i-th Kraus matrix removes i photons:
     K_i |n> = sqrt(C(n, i)) * (1-eta)^(i/2) * eta^((n-i)/2) |n-i>.
     eta = 1 yields the identity channel (the single surviving matrix).
-    Memoised per (eta, dim); the channel's matrices are read-only, so
-    callers share one instance.
+    Each call builds a fresh channel; its matrices are read-only.
     """
     _check_eta(eta)
     if dim < 1:
@@ -223,9 +221,9 @@ def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:
     if obs.shape != (rho.dim, rho.dim):
         raise ValueError("observable dimension mismatch")
     dev = np.max(np.abs(obs - obs.conj().T))
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         raise ValueError(f"observable not Hermitian (deviation {dev:.3e})")
     val = complex(np.einsum("ij,ji->", rho.mat, obs))
-    if abs(val.imag) >= 1e-10:
+    if not abs(val.imag) < 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real

@@ -3,7 +3,8 @@
 One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
 the reference arm (phase theta, loss eta2).  ``_kraus_round_trip`` plays
-this out with explicit Kraus sums on a stack of density matrices; its
+this out with explicit Kraus sums on a stack of density matrices, given the
+two arms' Kraus stacks, which its callers build where they use them; its
 one-matrix case, ``roundtrip_oracle``, is the ground truth here.  The
 engine, ``_round_trip``, returns only the output's lag diagonals (n - n' = k)
 that the input occupies, as {k: lag}, O(d) numbers each.  Its binomials do
@@ -51,20 +52,20 @@ class RoundTripConfig:
         _check_eta(self.eta2)
 
 
-def _kraus_round_trip(mats, phis, theta: float, eta1: float, eta2: float) -> np.ndarray:
+def _kraus_round_trip(mats, phis, theta: float, loss1, loss2) -> np.ndarray:
     """One round trip on each matrix of the stack mats (..., d, d), unchecked, at
-    phi from phis (broadcast against the leading axes): phase phi + theta, loss
-    eta1, the reversal as the d x d matrix u (u @ rho @ u.T), phase theta, loss eta2."""
-    d = mats.shape[-1]
-    out = _kraus_sum(_phased(mats, np.add(phis, theta)), loss_channel(eta1, d).kraus)
-    u = permutation_unitary(d)
-    return _kraus_sum(_phased(u @ out @ u.T, theta), loss_channel(eta2, d).kraus)
+    phi from phis (broadcast against the leading axes): phase phi + theta, the
+    Kraus stack loss1, the reversal as the d x d matrix u (u @ rho @ u.T), phase
+    theta, the Kraus stack loss2."""
+    out = _kraus_sum(_phased(mats, np.add(phis, theta)), loss1)
+    u = permutation_unitary(mats.shape[-1])
+    return _kraus_sum(_phased(u @ out @ u.T, theta), loss2)
 
 
 def roundtrip_step(rho: DensityMatrix, cfg: RoundTripConfig) -> DensityMatrix:
     """One full round trip applied to a density matrix (unchecked)."""
-    out = _kraus_round_trip(rho.mat, cfg.phi, cfg.theta, cfg.eta1, cfg.eta2)
-    return DensityMatrix(out, check=False)
+    loss1, loss2 = (loss_channel(eta, rho.dim).kraus for eta in (cfg.eta1, cfg.eta2))
+    return DensityMatrix(_kraus_round_trip(rho.mat, cfg.phi, cfg.theta, loss1, loss2), check=False)
 
 
 def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
@@ -231,7 +232,8 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
     every (eta, phi) cell of every m <= max_m, for the sine state and a few M&M
     splittings, recording the worst elementwise deviation per cell.  Each (m, eta)
     runs one lag round trip per state, whose lags serve every phase, and one Kraus
-    round trip on the stack of its states at all phases, checked at once."""
+    round trip on the stack of its states at all phases, checked at once, with one
+    loss channel built for both arms."""
     binom = binomial_table(max_m)
     phis = np.array(_VALIDATION_PHIS)[:, None]  # the stack: phases down, states across
     cells = []
@@ -241,8 +243,9 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
         for eta in _VALIDATION_ETAS:
             amps = [_sine_amplitudes(m)] + [_mm_amplitudes(spec) for spec in specs]
             kets = np.array(amps, dtype=complex)
+            loss = loss_channel(eta, m + 1).kraus
             oracle = _kraus_round_trip(kets[:, :, None] * kets[:, None, :].conj(), phis,
-                                       _VALIDATION_THETA, eta, eta)
+                                       _VALIDATION_THETA, loss, loss)
             _check_density(oracle)
             lags = [_round_trip(a, eta, binom) for a in amps]
             closed = [[_output_matrix(lag, phi, False).mat for lag in lags]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, loss_channel
+from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, _frozen, loss_channel
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,12 @@ class TwoModeFockVector:
         amps = np.asarray(amps, dtype=complex)
         if amps.ndim != 2:
             raise ValueError("two-mode amplitudes must be a 2-D array")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("non-finite amplitude")
         nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: |amps|^2 = {nrm2!r}")
-        a = amps.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        object.__setattr__(self, "amps", _frozen(amps))
 
     @property
     def dims(self) -> tuple:
@@ -121,7 +121,8 @@ def noon_state(n: int) -> TwoModeFockVector:
 
 
 def two_mode_loss_channel(eta1: float, eta2: float, dims: tuple) -> KrausChannel:
-    """Independent photon loss on each arm, flattened to one Kraus channel."""
+    """Independent photon loss on each arm, flattened to one Kraus channel: the
+    cross-check of the NOON brute force, which applies one arm at a time."""
     d1, d2 = dims
     ch1 = loss_channel(eta1, d1)
     ch2 = loss_channel(eta2, d2)

@@ -10,12 +10,14 @@ from interferolab import (
     DensityMatrix,
     MmStateSpec,
     OutcomeDistribution,
+    apply_channel,
     apply_phase,
     baselines,
     circular_distance,
     circular_rms,
     expectation,
     holevo_variance,
+    loss_channel,
     mm_error_terms,
     mm_observable,
     mm_phase_error,
@@ -23,12 +25,16 @@ from interferolab import (
     mm_state_output,
     noon_phase_error,
     noon_phase_error_brute,
+    noon_state,
     optimal_outcome_distribution,
     optimal_state_output,
     pegg_barnett_vector,
     phase_error_summary,
     povm_distribution,
+    two_mode_loss_channel,
+    two_mode_phase,
 )
+from interferolab.estimation import _noon_output
 
 TWO_PI = 2 * math.pi
 
@@ -324,6 +330,23 @@ class TestBaselines:
         phi = 0.37
         assert noon_phase_error_brute(n, eta, phi) == pytest.approx(
             noon_phase_error(n, eta, phi), abs=1e-6
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_per_arm_loss_equals_the_flattened_two_mode_channel(self, n):
+        eta, dims = 0.7, (n + 1, n + 1)
+        rho = two_mode_phase(noon_state(n).to_density_flat(), 0.3, dims)
+        want = apply_channel(rho, two_mode_loss_channel(eta, eta, dims)).mat
+        got = _noon_output(n, loss_channel(eta, n + 1).kraus, 0.3).mat
+        assert np.max(np.abs(got - want)) < 1e-15
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_brute_force_at_larger_n(self, n):
+        # the (n + 1)^2-level two-mode state, each arm's loss applied in turn,
+        # at the minimiser n * phi = pi / 2 of the closed form
+        eta = 0.9
+        assert noon_phase_error_brute(n, eta, math.pi / (2 * n)) == pytest.approx(
+            baselines(n, eta).noon_error, abs=1e-8
         )
 
 

@@ -6,8 +6,12 @@ import pytest
 from interferolab import (
     DensityMatrix,
     FockVector,
+    KrausChannel,
+    MmErrorTerms,
     MmStateSpec,
+    OutcomeDistribution,
     RoundTripConfig,
+    TwoModeFockVector,
     apply_channel,
     apply_phase,
     baselines,
@@ -18,7 +22,7 @@ from interferolab import (
     optimal_state_output,
     permutation_unitary,
 )
-from interferolab.fock import binomial_table
+from interferolab.fock import _check_density, binomial_table
 
 
 def basis(dim, n):
@@ -37,6 +41,11 @@ class TestFockVector:
             FockVector([])
         with pytest.raises(ValueError):
             FockVector([np.nan, 0.0])
+
+    def test_accepts_strided_amplitudes(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        assert np.array_equal(FockVector(amps[::2]).amps, [1.0, 0.0, 0.0, 0.0])
 
     def test_immutable(self):
         v = basis(3, 1)
@@ -137,8 +146,8 @@ class TestLossChannel:
             make(eta)
 
     def test_memoised_and_read_only(self):
+        # each call builds a fresh channel; its matrices are read-only
         ch = loss_channel(0.9, 5)
-        assert loss_channel(0.9, 5) is ch
         assert not any(k.flags.writeable for k in ch.kraus)
         with pytest.raises(ValueError):
             ch.kraus[1][0, 1] = 1.0
@@ -256,6 +265,23 @@ class TestExpectation:
     def test_dimension_mismatch(self, random_density):
         with pytest.raises(ValueError):
             expectation(random_density(4), np.eye(5))
+
+
+# a comparison such as x > tol is False for NaN, so each check is written to
+# fail unless its condition holds
+@pytest.mark.parametrize("make, message", [
+    (lambda: DensityMatrix([[math.nan]]), "^not Hermitian: .* = nan$"),
+    (lambda: _check_density(np.array([[[1.0]], [[math.nan]]])), "^not Hermitian: .* = nan$"),
+    (lambda: KrausChannel([[[math.nan]]]), "^Kraus completeness violated by nan$"),
+    (lambda: OutcomeDistribution([math.nan, 0.5], 0.0), "^probabilities sum to nan$"),
+    (lambda: TwoModeFockVector([[math.nan]]), "^non-finite amplitude$"),
+    (lambda: MmErrorTerms(math.nan, math.nan, 2), "^mean_square must be non-negative$"),
+    (lambda: expectation(basis(1, 0).to_density(), [[math.nan]]), "^observable not Hermitian"),
+], ids=["DensityMatrix", "stacked_check_density", "KrausChannel", "OutcomeDistribution",
+        "TwoModeFockVector", "MmErrorTerms", "expectation"])
+def test_every_check_rejects_nan(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestBinomial:

@@ -145,7 +145,8 @@ class TestStackedRoundTrip:
         rhos = g @ g.conj().transpose(0, 2, 1)
         rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
         phis = rng.uniform(-math.pi, math.pi, size=3)
-        got = _kraus_round_trip(rhos, phis[:, None], theta, eta1, eta2)
+        loss1, loss2 = loss_channel(eta1, d).kraus, loss_channel(eta2, d).kraus
+        got = _kraus_round_trip(rhos, phis[:, None], theta, loss1, loss2)
         assert got.shape == (3, states, d, d)
         for p, phi in enumerate(phis):
             cfg = RoundTripConfig(float(phi), theta, eta1, eta2)

@@ -305,10 +305,12 @@ class TestRunSweep:
         # the binomial table does not depend on eta, so a sweep builds one for its
         # largest top index, on either axis and whatever its row count; with
         # --validate the gate adds one table of its own, one stacked Kraus round
-        # trip per (m, eta) and the tables of the 24 memoised loss channels; noon
-        # rows use no table, so a noon sweep builds none
-        tables, stacks = [], []
+        # trip per (m, eta) and one loss channel per (m, eta) for both arms, with
+        # its table, on every run, since nothing is cached; noon rows use no
+        # table, so a noon sweep builds none
+        tables, stacks, channels = [], [], []
         kraus_round_trip = protocol_mod._kraus_round_trip
+        loss_channel = protocol_mod.loss_channel
 
         def counting_table(nmax):
             tables.append(nmax)
@@ -318,9 +320,14 @@ class TestRunSweep:
             stacks.append(args[0].shape)
             return kraus_round_trip(*args)
 
+        def counting_channel(eta, dim):
+            channels.append((eta, dim))
+            return loss_channel(eta, dim)
+
         for mod in (fock_mod, protocol_mod, sweep_mod):
             monkeypatch.setattr(mod, "binomial_table", counting_table)
         monkeypatch.setattr(protocol_mod, "_kraus_round_trip", counting_round_trip)
+        monkeypatch.setattr(protocol_mod, "loss_channel", counting_channel)
         for kw, top in [
             (dict(n_range=(2.0, 2.0, 1.0)), 4),
             (dict(n_range=(2.0, 40.0, 1.0)), 80),
@@ -331,12 +338,15 @@ class TestRunSweep:
             tables.clear()
             run_sweep(small_cfg(tmp_path, **kw))
             assert tables == ([] if top is None else [top])
-        assert stacks == []
-        tables.clear()
-        fock_mod.loss_channel.cache_clear()
-        run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 30.0, 1.0), validate=True))
-        assert tables == [8] + [m for m in range(1, 9) for _ in range(3)] + [57]
-        assert len(stacks) == 24
+        assert stacks == channels == []
+        for _ in range(2):
+            for calls in (tables, stacks, channels):
+                calls.clear()
+            run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 30.0, 1.0),
+                                validate=True))
+            assert tables == [8] + [m for m in range(1, 9) for _ in range(3)] + [57]
+            assert len(stacks) == 24
+            assert channels == [(eta, m + 1) for m in range(1, 9) for eta in (0.5, 0.9, 1.0)]
 
     def test_header_and_shape(self, tmp_path):
         summary = run_sweep(small_cfg(tmp_path))
@@ -450,14 +460,8 @@ def test_large_golden_min_rms_is_the_reference_correctly_rounded():
     )
 
 
-@pytest.mark.parametrize("threads", ["1", None, "3"])
-def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
-    # the two-component benchmark run at seed 0, without --validate; the
-    # bytes do not depend on the retired INTERF_THREADS variable
-    if threads is None:
-        monkeypatch.delenv("INTERF_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("INTERF_THREADS", threads)
+def test_cli_reproduces_the_mm_golden_csv(tmp_path):
+    # the two-component benchmark run at seed 0, without --validate
     out = tmp_path / "mm.csv"
     assert cli_main([
         "--family", "mm", "--axis", "n", "--eta", "0.9", "--m-prime", "3",
@@ -509,15 +513,9 @@ def test_off_grid_mm_error_is_the_reference_correctly_rounded(tmp_path):
     assert cells["40"] == "1.17437248555e+13"
 
 
-@pytest.mark.parametrize("threads", ["1", None])
-def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
+def test_cli_reproduces_the_large_m_golden_csv(tmp_path):
     # the large-n benchmark run at seed 0: the only rows with F-order loss
-    # tables (d >= 182); min_rms is reference-rounded, holevo is not. The
-    # bytes do not depend on the retired INTERF_THREADS variable
-    if threads is None:
-        monkeypatch.delenv("INTERF_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("INTERF_THREADS", threads)
+    # tables (d >= 182); min_rms is reference-rounded, holevo is not
     out = tmp_path / "large.csv"
     assert cli_main([
         "--family", "optimal", "--axis", "n", "--eta", "0.9", "--n-min", "25", "--n-max", "150",
