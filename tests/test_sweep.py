@@ -460,8 +460,14 @@ def test_large_golden_min_rms_is_the_reference_correctly_rounded():
     )
 
 
-def test_cli_reproduces_the_mm_golden_csv(tmp_path):
-    # the two-component benchmark run at seed 0, without --validate
+@pytest.mark.parametrize("threads", ["1", None, "3"])
+def test_cli_reproduces_the_mm_golden_csv(threads, tmp_path, monkeypatch):
+    # the two-component benchmark run at seed 0, without --validate; the
+    # bytes do not depend on the retired INTERF_THREADS variable
+    if threads is None:
+        monkeypatch.delenv("INTERF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("INTERF_THREADS", threads)
     out = tmp_path / "mm.csv"
     assert cli_main([
         "--family", "mm", "--axis", "n", "--eta", "0.9", "--m-prime", "3",
@@ -513,9 +519,15 @@ def test_off_grid_mm_error_is_the_reference_correctly_rounded(tmp_path):
     assert cells["40"] == "1.17437248555e+13"
 
 
-def test_cli_reproduces_the_large_m_golden_csv(tmp_path):
+@pytest.mark.parametrize("threads", ["1", None])
+def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
     # the large-n benchmark run at seed 0: the only rows with F-order loss
-    # tables (d >= 182); min_rms is reference-rounded, holevo is not
+    # tables (d >= 182); min_rms is reference-rounded, holevo is not. The
+    # bytes do not depend on the retired INTERF_THREADS variable
+    if threads is None:
+        monkeypatch.delenv("INTERF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("INTERF_THREADS", threads)
     out = tmp_path / "large.csv"
     assert cli_main([
         "--family", "optimal", "--axis", "n", "--eta", "0.9", "--n-min", "25", "--n-max", "150",
