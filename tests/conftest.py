@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from interferolab import DensityMatrix
+# One BLAS thread, set before numpy loads OpenBLAS: with its default of one
+# thread per core, a BLAS call can stall the whole process while another job
+# holds a core.  A value already in the environment is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from interferolab import DensityMatrix  # noqa: E402
 
 
 @pytest.fixture

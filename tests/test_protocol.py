@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from interferolab import (
 from interferolab.fock import _check_density, binomial_table
 from interferolab.protocol import (
     _kraus_round_trip,
+    _lag_round_trip,
     _loss_amplitudes,
     _occupied_lags,
     _output_matrix,
@@ -333,9 +335,9 @@ class TestLossMap:
 
     @pytest.mark.parametrize("d, c_order", [(181, True), (182, False)])
     def test_table_memory_order_is_pinned(self, d, c_order):
-        # the last bits of _round_trip depend on the memory order of this table,
-        # and numpy gives C order up to d = 181 and F order from d = 182 on;
-        # flipping it moves bytes of rows with m >= 181
+        # the last bits of the per-lag loop depend on the memory order of this
+        # table, and numpy gives C order up to d = 181 and F order from d = 182
+        # on; flipping it moves bytes of the M&M rows with m >= 181
         amp = _loss_amplitudes(d, 0.9)
         assert (amp.flags.c_contiguous, amp.flags.f_contiguous) == (c_order, not c_order)
 
@@ -345,6 +347,98 @@ class TestLossMap:
         for d, binom in [(1031, None), (1031, largest_table), (10**9, None)]:
             with pytest.raises(ValueError, match="non-finite: binomials of 1030 overflow"):
                 _loss_amplitudes(d, 0.9, binom)
+
+
+class TestBlockedRoute:
+    # an input on more than _LOOP_MAX_LAGS lags runs its lags from
+    # _LOOP_LOW_LAGS on in blocks, with products of W_0 for each loss leg;
+    # the per-lag loop, _lag_round_trip, is the reference
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(protocol_mod._LOOP_MAX_LAGS, 400),
+        eta=st.floats(0.02, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.3]),
+    )
+    @example(m=64, eta=0.02, seed=0, zero_frac=0.0)  # the smallest blocked input: 65 lags
+    @example(m=400, eta=1.0, seed=0, zero_frac=0.0)
+    @example(m=400, eta=0.02, seed=1, zero_frac=0.3)
+    def test_every_lag_matches_the_per_lag_loop(self, m, eta, seed, zero_frac, largest_table):
+        # non-negative amplitudes, like every state a sweep runs, with zeroed
+        # sites so that blocks skip lags.  Each lag lies within 1e-12 of its
+        # largest entry, plus the floor of entries the loop loses to underflow
+        # (see test_loss_composes_per_lag), and each lag sum within 2e-14 of
+        # the largest lag sum; measured worst cases are 1.3e-13 and 6.3e-15
+        rng = np.random.default_rng(seed)
+        amps = np.abs(rng.normal(size=m + 1))
+        amps[rng.random(m + 1) < zero_frac] = 0.0
+        assume(amps.any())
+        amps /= np.linalg.norm(amps)
+        ks = _occupied_lags(amps)
+        assume(ks.size > protocol_mod._LOOP_MAX_LAGS)
+        d = m + 1
+        got = _round_trip(amps, eta, largest_table)
+        assert list(got) == ks.tolist()
+        amp = _loss_amplitudes(d, eta, largest_table)
+        floor = d * math.sqrt(largest_table[:d, :d].max() * np.finfo(float).tiny)
+        sums = []
+        for k in map(int, ks):
+            want = _lag_round_trip(amps, amp, k)
+            if k < protocol_mod._LOOP_LOW_LAGS:
+                assert np.array_equal(got[k], want)
+            assert got[k].shape == want.shape
+            assert np.max(np.abs(got[k] - want)) <= 1e-12 * np.max(np.abs(want)) + floor, k
+            sums.append((got[k].sum(), want.sum()))
+        got_sums, want_sums = np.array(sums).T
+        assert np.max(np.abs(got_sums - want_sums)) <= 2e-14 * np.max(np.abs(want_sums))
+
+    @pytest.mark.parametrize("eta", [0.05, 0.9])
+    @pytest.mark.parametrize("m", [1028, 1029])  # 1029: the largest top index a row may have
+    def test_largest_inputs_are_finite_and_match_the_loop(self, m, eta, largest_table):
+        # at eta = 0.05, eta^a underflows from a = 249 on and every lag from
+        # about 500 on is zero: no scale factor may turn a zero or subnormal
+        # entry into NaN.  The loop's own trace misses 1 by 7.5e-13 here
+        d = m + 1
+        amps = _sine_amplitudes(m)
+        lags = _round_trip(amps, eta, largest_table)
+        assert list(lags) == list(range(d))
+        assert all(np.isfinite(lag).all() for lag in lags.values())
+        assert abs(lags[0].sum() - 1.0) <= 2e-12
+        amp = _loss_amplitudes(d, eta, largest_table)
+        for k in (1, d // 2, d - 2):
+            want = _lag_round_trip(amps, amp, k)
+            assert np.max(np.abs(lags[k] - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+    def test_peak_memory_is_the_tables_and_one_block(self, largest_table):
+        # tracemalloc sees numpy's arrays, not OpenBLAS's packing buffers.  At
+        # m = 1000 the loss table's temporaries peak at 3.0 d^2 doubles, and
+        # the blocked route holds W_0 (d^2), the lags (d^2 / 2) and one block of
+        # 64 lags; products over all lags at once peak at 8.0 d^2
+        d = 1001
+        amps = _sine_amplitudes(d - 1)
+        tracemalloc.start()
+        try:
+            _round_trip(amps, 0.9, largest_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * d * d * 8
+
+    def test_bits_do_not_follow_the_table_memory_order(self, monkeypatch, largest_table):
+        # W_0 is built in C order, so the blocked lags do not change where numpy
+        # switches the loss table to F order (d = 182); the loop's lags do
+        amps = _sine_amplitudes(100)
+        want = _round_trip(amps, 0.9, largest_table)
+        loss_amplitudes = protocol_mod._loss_amplitudes
+
+        def f_order(*args):
+            return np.asfortranarray(loss_amplitudes(*args))
+
+        monkeypatch.setattr(protocol_mod, "_loss_amplitudes", f_order)
+        got = _round_trip(amps, 0.9, largest_table)
+        blocked = range(protocol_mod._LOOP_LOW_LAGS, 101)
+        assert all(np.array_equal(got[k], want[k]) for k in blocked)
 
 
 class TestOptimalStateOutput:
