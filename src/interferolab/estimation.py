@@ -5,8 +5,10 @@ RMS, the Holevo variance of the continuous phase distribution, the
 two-component hopping observable with error propagation (its sums read
 off the round trip's lags, the phase given per call), the reference
 phase scanner, and the shot-noise / Heisenberg / lossy-NOON references.
-The NOON brute force builds one loss channel per call and applies it to
-each arm's indices in turn.
+The closed forms a sweep row reads (the Holevo dispersion of a coherence
+sum, the two-component error terms, the baselines) live in ``engine`` and
+are re-exported here.  The NOON brute force builds one loss channel per
+call and applies it to each arm's indices in turn.
 """
 
 from __future__ import annotations
@@ -17,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _check_eta, expectation, loss_channel
+from .engine import (  # noqa: F401  (the engine's figures, re-exported with the references)
+    Baselines,
+    MmErrorTerms,
+    _holevo_dispersion,
+    _mm_error_terms,
+    _propagated_error,
+    baselines,
+    mm_phase_error_closed,
+    noon_phase_error,
+)
+from .fock import DensityMatrix, expectation, loss_channel
 from .protocol import mm_output_coefficients, optimal_state_output
 from .states import MmStateSpec, noon_state, two_mode_phase
 
@@ -104,11 +116,6 @@ def holevo_variance(rho: DensityMatrix) -> float:
     return _holevo_dispersion(abs(complex(np.sum(np.diagonal(rho.mat, offset=-1)))))
 
 
-def _holevo_dispersion(s: float) -> float:
-    """(S^-2 - 1)^(1/2) for the coherence sum S; +inf at S = 0."""
-    return math.sqrt(max(s**-2 - 1.0, 0.0)) if s else math.inf
-
-
 def mm_observable(m: int, m_prime: int) -> np.ndarray:
     """Hopping observable pairing |m-k> with |m_prime-k| for k = 0..m_prime.
 
@@ -131,55 +138,9 @@ def mm_observable(m: int, m_prime: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class MmErrorTerms:
-    """Scalar ingredients of the closed-form error propagation.
-
-    ``mean_square`` is the expected square of the hopping observable and
-    ``coherence`` the amplitude of its cos(delta*phi) mean oscillation;
-    neither depends on phi.
-    """
-
-    mean_square: float
-    coherence: float
-    delta: int
-
-    def __post_init__(self):
-        if not self.mean_square >= 0.0:  # written so that NaN fails too
-            raise ValueError("mean_square must be non-negative")
-        if not abs(self.coherence) <= 1.0 + 1e-12:
-            raise ValueError("coherence amplitude cannot exceed 1")
-
-
 def mm_error_terms(spec: MmStateSpec, eta: float) -> MmErrorTerms:
     """Error-propagation ingredients of the round-trip output at eta."""
     return _mm_error_terms(spec, mm_output_coefficients(spec, eta))
-
-
-def _mm_error_terms(spec: MmStateSpec, lags: dict) -> MmErrorTerms:
-    """Error-propagation ingredients from the lags of the round-trip output:
-    MS sums the observable's site populations, C twice the lag-delta sum."""
-    populations, delta = lags[0], spec.delta
-    mean_square = 0.0
-    for k in range(spec.m_prime + 1):
-        mean_square += populations[k] + populations[k + delta]
-    return MmErrorTerms(float(mean_square), float(2.0 * lags[delta].sum()), delta)
-
-
-def _propagated_error(mean_square: float, coherence: float, delta: int, phi: float) -> float:
-    # variance at the working point, written as (MS - C^2) + C^2 sin^2 to
-    # avoid the 1 - cos^2 cancellation that otherwise poisons eta -> 1
-    sin = math.sin(delta * phi)
-    slope = delta * abs(coherence * sin)
-    if slope == 0.0:
-        return math.inf
-    var = max(mean_square - coherence**2, 0.0) + (coherence * sin) ** 2
-    return math.sqrt(var) / slope
-
-
-def mm_phase_error_closed(terms: MmErrorTerms, phi: float) -> float:
-    """Propagated phase error sqrt(MS - cos^2 * C^2) / (delta |sin * C|) at phase phi."""
-    return _propagated_error(terms.mean_square, terms.coherence, terms.delta, phi)
 
 
 def mm_phase_error(sigma: DensityMatrix, spec: MmStateSpec, phi: float) -> float:
@@ -236,40 +197,6 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720):
         phi_star, best = float(xs[k]), float(vals[k])
     avg = float(vals[finite].mean())
     return float(phi_star), float(best), avg
-
-
-@dataclass(frozen=True)
-class Baselines:
-    """Reference phase errors at mean photon number n and transmissivity eta."""
-
-    shot_noise: float
-    heisenberg: float
-    noon_error: float
-
-
-def noon_phase_error(n: int, eta: float, phi: float) -> float:
-    """Propagated error of the lossy two-mode NOON probe at phase phi.
-
-    The parity-type observable has mean eta^n cos(n*phi) and unit-scaled
-    square eta^n, minimized at n*phi = pi/2 where the error becomes
-    1/(n * eta^(n/2)).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_eta(eta)
-    return _propagated_error(eta**n, eta**n, n, phi)
-
-
-def baselines(n: float, eta: float) -> Baselines:
-    """Shot-noise, Heisenberg and minimized lossy-NOON reference errors."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_eta(eta)
-    return Baselines(
-        shot_noise=1.0 / math.sqrt(n * eta),
-        heisenberg=1.0 / n,
-        noon_error=1.0 / (n * eta ** (n / 2.0)),
-    )
 
 
 def noon_observable(n: int) -> np.ndarray:

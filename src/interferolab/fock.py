@@ -17,41 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _check_eta, binomial_table
+
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_TOL = -1e-9
 KRAUS_TOL = 1e-10
-
-# Largest n for which binomials are taken from exact integer arithmetic;
-# above this they come from log-gamma to avoid overflow.
-_EXACT_BINOM_MAX = 60
-
-
-def binomial_table(nmax: int) -> np.ndarray:
-    """Dense table t[a, b] = C(a, b) for 0 <= a, b <= nmax (a fresh array).
-
-    Rows up to _EXACT_BINOM_MAX are exact integers rounded once; only the
-    rows above them are evaluated through log-gamma, so the top-left block
-    of a table equals the smaller table bit for bit.
-    """
-    t = np.zeros((nmax + 1, nmax + 1))
-    top = min(nmax, _EXACT_BINOM_MAX)
-    for a in range(top + 1):
-        t[a, : a + 1] = [math.comb(a, b) for b in range(a + 1)]
-    if nmax > _EXACT_BINOM_MAX:
-        lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, nmax + 1)))))
-        a = np.arange(top + 1, nmax + 1)[:, None]
-        b = np.arange(nmax + 1)[None, :]
-        big = np.exp(lf[a] - lf[np.minimum(b, a)] - lf[np.maximum(a - b, 0)])
-        big[b > a] = 0.0
-        t[top + 1 :] = big
-    return t
-
-
-def _check_eta(eta: float) -> None:
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

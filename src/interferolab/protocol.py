@@ -1,4 +1,5 @@
-"""Round-trip protocol: brute-force channel composition and the production engine.
+"""Round-trip protocol: brute-force channel composition, the production
+outputs as matrices, and the validation gate that compares the two.
 
 One round sends the state through the sampling arm (phase phi + theta,
 loss eta1), applies the index-reversal unitary, and returns it through
@@ -6,14 +7,15 @@ the reference arm (phase theta, loss eta2).  ``_kraus_round_trip`` plays
 this out with explicit Kraus sums on a stack of density matrices, given the
 two arms' Kraus stacks, which its callers build where they use them; its
 one-matrix case, ``roundtrip_oracle``, is the ground truth here.  The
-engine, ``_round_trip``, returns only the output's lag diagonals (n - n' = k)
-that the input occupies, as {k: lag}, O(d) numbers each: by a loop over the
-lags for an input on few lags, and for a larger one by products of 64 lags
-at a time with the binomial loss matrix, one per loss leg.  Its binomials do
-not depend on eta, so a sweep builds one table for all of its rows; the
-public functions build their own, and ``optimal_state_output`` and
-``mm_state_output`` assemble d x d matrices from the lags.  Each call runs
-one round trip, so a phase scan should apply each phase to one phi = 0 output.
+production engine, ``engine._round_trip`` (re-exported here), returns only
+the output's lag diagonals (n - n' = k) that the input occupies, as
+{k: lag}, O(d) numbers each: by a loop over the lags for an input on few
+lags, and for a larger one by products of 64 lags at a time with the
+binomial loss matrix, one per loss leg.  Its binomials do not depend on
+eta, so a sweep builds one table for all of its rows; the public functions
+build their own, and ``optimal_state_output`` and ``mm_state_output``
+assemble d x d matrices from the lags.  Each call runs one round trip, so a
+phase scan should apply each phase to one phi = 0 output.
 """
 
 from __future__ import annotations
@@ -23,18 +25,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import (  # noqa: F401  (the loop's names: tests reach them through this module)
+    _LOOP_LOW_LAGS,
+    _LOOP_MAX_LAGS,
+    MmStateSpec,
+    _check_eta,
+    _lag_round_trip,
+    _loss_amplitudes,
+    _mm_amplitudes,
+    _occupied_lags,
+    _round_trip,
+    _sine_amplitudes,
+    binomial_table,
+)
 from .fock import (
     DensityMatrix,
     FockVector,
     _check_density,
-    _check_eta,
     _kraus_sum,
     _phased,
-    binomial_table,
     loss_channel,
     permutation_unitary,
 )
-from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes
 
 
 @dataclass(frozen=True)
@@ -75,116 +87,6 @@ def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
     anywhere, the input projector is pushed through phase, loss and permutation
     operations term by term."""
     return DensityMatrix(roundtrip_step(state.to_density(), cfg).mat, check=True)
-
-
-_BINOM_OVERFLOW = 1030  # binomials of this n and above overflow double
-
-
-def _loss_amplitudes(d: int, eta: float, binom=None) -> np.ndarray:
-    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping a of
-    c photons, C from the top-left block of binom (a binomial_table of at least d
-    rows; None builds one).  (1-eta) is raised to each loss count once."""
-    if d > _BINOM_OVERFLOW:  # raised before anything d x d is built
-        raise ValueError(f"loss amplitudes are non-finite: binomials of {_BINOM_OVERFLOW} overflow")
-    binom = (binomial_table(d - 1) if binom is None else binom)[:d, :d]
-    n = np.arange(d)
-    kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
-    return np.sqrt(binom.T * eta**kept * ((1.0 - eta) ** n)[lost])
-
-
-def _occupied_lags(amps: np.ndarray) -> np.ndarray:
-    """Lags k >= 0 on which |a><a| is non-zero: the autocorrelation of the
-    amplitude support, in O(d) memory."""
-    occ = (amps != 0).astype(float)
-    return np.flatnonzero(np.convolve(occ, occ[::-1])[amps.size - 1 :])
-
-
-_LOOP_MAX_LAGS = 64  # inputs on at most this many lags run the per-lag loop alone
-_LOOP_LOW_LAGS = 2  # lags below this run the loop in every input: the trace and holevo's S
-_LAG_BLOCK = 64  # lags per block, and rows of W_0 per product, of the blocked route
-
-
-def _round_trip(amps: np.ndarray, eta: float, binom=None) -> dict:
-    """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
-    the round-trip output at phi = 0 with transmissivity eta in both arms,
-    as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies,
-    with loss amplitudes from ``binom`` (see ``_loss_amplitudes``).
-
-    Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
-    with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
-    symmetric, so the reversal maps lag k to lag k read backwards.  Lags
-    below 0 mirror lags above 0.
-
-    An input on at most _LOOP_MAX_LAGS lags (the M&M states, the validation
-    gate, the sine state up to m = 63) runs one lag at a time, each with its
-    own W_k (``_lag_round_trip``).  A larger one runs only its lags below
-    _LOOP_LOW_LAGS that way, and the rest _LAG_BLOCK at a time in
-    ``_blocked_round_trip``, which is faster from about 20 lags on but
-    rounds differently: run on every input, it moves bits of the validation
-    report, and on the lowest lags, last digits of large sweeps' CSV cells.
-    """
-    d = amps.size
-    amp = _loss_amplitudes(d, eta, binom)
-    ks = _occupied_lags(amps)
-    split = ks.size if ks.size <= _LOOP_MAX_LAGS else np.searchsorted(ks, _LOOP_LOW_LAGS)
-    lags = {k: _lag_round_trip(amps, amp, k) for k in map(int, ks[:split])}
-    if split < ks.size:
-        amp = np.square(amp, order="C")  # W_0 in one memory order: numpy's for amp flips at d = 182
-        lags.update(_blocked_round_trip(amps, eta, amp, ks[split:]))
-    return lags
-
-
-def _lag_round_trip(amps: np.ndarray, amp: np.ndarray, k: int) -> np.ndarray:
-    """Lag k of ``_round_trip`` through its own W_k[i, j] = amp[i, j] amp[i+k, j+k]."""
-    d = amps.size
-    w = amp[: d - k, : d - k] * amp[k:, k:]
-    return w @ (w @ (amps[: d - k] * amps[k:]))[::-1]
-
-
-def _blocked_round_trip(amps: np.ndarray, eta: float, w0: np.ndarray, ks: np.ndarray) -> dict:
-    """The lags ks (ascending) of ``_round_trip``, _LAG_BLOCK at a time, as a
-    (lags, rows) block over the rows of its lowest lag, zero past each lag's
-    end: the two loss legs (``_loss_leg``) with W_0 = w0, and between them
-    the reversal, which sends row i of lag k to row d-k-1-i.
-
-    The legs scale lag k's row i by exp(g_k(i) - c_k), with g_k(n) =
-    ln((n+k)! / n!) / 2 from cumulative log sums and c_k the middle of g_k's
-    range, (g_k(0) + g_k(d-1-k)) / 2, so that every factor stays within
-    exp(+-178) up to d = 1030.  Rows past a lag's end repeat its last factor."""
-    d = amps.size
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))  # ln n!
-    padded = np.concatenate((amps, np.zeros(d)))
-    lags = {}
-    for start in range(0, ks.size, _LAG_BLOCK):
-        block = ks[start : start + _LAG_BLOCK, None]
-        i = np.arange(d - block[0, 0])
-        last = np.minimum(i, d - 1 - block)
-        g = 0.5 * (lf[last + block] - lf[last]) - 0.25 * (lf[block] + lf[d - 1] - lf[d - 1 - block])
-        scale = np.exp(g)
-        x = _loss_leg(w0, eta, block, scale, amps[i] * padded[i + block])
-        for row, k in zip(x, block[:, 0]):
-            row[: d - k] = row[d - k - 1 :: -1]
-        x = _loss_leg(w0, eta, block, scale, x)
-        lags.update((k, row[: d - k]) for k, row in zip(map(int, block[:, 0]), x))
-    return lags
-
-
-def _loss_leg(w0: np.ndarray, eta: float, ks: np.ndarray, scale: np.ndarray, x: np.ndarray):
-    """Loss eta on the block x of lag vectors (x[c] on lag ks[c], zero past
-    its end), with W_0 = w0 for eta and scale[c] = exp(g_k - c_k), since
-
-        W_k[i, j] = W_0[i, j] eta^(k/2) exp(g_k(j) - g_k(i)).
-
-    W_0 is upper triangular (loss never adds photons), so each panel of
-    _LAG_BLOCK rows multiplies only the columns from its first row on; the
-    panels also keep OpenBLAS's packed copy of W_0 to one panel."""
-    n = x.shape[1]
-    w = w0[:n, :n]
-    x = scale * x
-    y = np.empty_like(x)
-    for r in range(0, n, _LAG_BLOCK):
-        y[:, r : r + _LAG_BLOCK] = x[:, r:] @ w[r : r + _LAG_BLOCK, r:].T
-    return eta ** (ks / 2) / scale * y
 
 
 def _output_matrix(lags, phi: float, check: bool) -> DensityMatrix:

@@ -14,27 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import MmStateSpec, _mm_amplitudes, _sine_amplitudes
 from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, _frozen, loss_channel
-
-
-@dataclass(frozen=True)
-class MmStateSpec:
-    """Parameters of the two-component state (|m> + |m_prime>)/sqrt(2)."""
-
-    m: int
-    m_prime: int
-
-    def __post_init__(self):
-        if not (self.m > self.m_prime >= 0):
-            raise ValueError(f"need m > m_prime >= 0, got ({self.m}, {self.m_prime})")
-
-    @property
-    def delta(self) -> int:
-        return self.m - self.m_prime
-
-    @property
-    def n_avg(self) -> float:
-        return (self.m + self.m_prime) / 2.0
 
 
 def optimal_phase_state(m: int) -> FockVector:
@@ -49,19 +30,9 @@ def optimal_phase_state(m: int) -> FockVector:
     return FockVector(_sine_amplitudes(m))
 
 
-def _sine_amplitudes(m: int) -> np.ndarray:
-    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.arange(m + 1) + 0.5) / (m + 1))
-
-
 def mm_state(spec: MmStateSpec) -> FockVector:
     """Equal superposition of the two Fock states |m> and |m_prime>."""
     return FockVector(_mm_amplitudes(spec))
-
-
-def _mm_amplitudes(spec: MmStateSpec) -> np.ndarray:
-    amps = np.zeros(spec.m + 1)
-    amps[spec.m] = amps[spec.m_prime] = 1.0 / math.sqrt(2.0)
-    return amps
 
 
 def no_state(n: int) -> FockVector:

@@ -14,13 +14,25 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimation import _holevo_dispersion, _mm_error_terms, baselines, mm_phase_error_closed
-from .fock import binomial_table
-from .protocol import _BINOM_OVERFLOW, ValidationReport, _round_trip, validate_closed_forms
-from .states import MmStateSpec, _mm_amplitudes, _sine_amplitudes
+from .engine import (
+    _BINOM_OVERFLOW,
+    MmStateSpec,
+    _holevo_dispersion,
+    _mm_amplitudes,
+    _mm_error_terms,
+    _round_trip,
+    _sine_amplitudes,
+    baselines,
+    binomial_table,
+    mm_phase_error_closed,
+)
+
+if TYPE_CHECKING:
+    from .protocol import ValidationReport
 
 FAMILIES = ("optimal", "mm", "no", "noon")
 
@@ -217,7 +229,11 @@ class _SineCurve:
             first, second = 1.0 + 1j * cot, 1.0 / sin**2
         a_k = np.pi * sign * first
         b_k = 2.0 * np.pi**2 / d * sign * second
-        self.value_coeffs = np.stack([b_k, -2.0 * a_k], axis=1)
+        # the value series' coefficients (B_k, -2 A_k) as reals: rows 2k and 2k+1
+        # hold their Re and -Im, so (c_k cos(k phi), c_k sin(k phi)) against them
+        # is Re(c_k e^{ik phi} (B_k, -2 A_k))
+        value = np.stack([b_k, -2.0 * a_k], axis=1)
+        self.value_pairs = np.stack([value.real, -value.imag], axis=1).reshape(-1, 2)
         self.slope_coeffs = np.stack([1j * lags * b_k - 2.0 * a_k, -2j * lags * a_k], axis=1)
         self.mean_offset = 0.0 if d % 2 else np.pi / d  # <e>: the outcome at +pi
         # <e^2>, from the mean of s^2: (d^2 - 1)/12 for odd d, (d^2 + 2)/12 for even d
@@ -232,7 +248,12 @@ class _SineCurve:
         cell = TWO_PI / self.d
         phis = np.asarray(phis, dtype=float) % cell
         phis = np.minimum(phis, cell - phis)  # folded onto the half-cell [0, pi/d]
-        series = (self._phased(phis) @ self.value_coeffs).real
+        # Re of the series in real arithmetic: cos and sin are bit for bit the parts
+        # of exp(i k phi), and each k's two products are summed next to each other,
+        # as in a complex product (two separate sums move printed min_rms digits)
+        angles = phis[..., None] * self.lags
+        pairs = self.lag_sums[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        series = pairs.reshape(*phis.shape, -1) @ self.value_pairs
         return np.sqrt(
             self.trace * (self.mean_square_offset - 2.0 * phis * self.mean_offset + phis**2)
             + 2.0 / self.d * (series[..., 0] + phis * series[..., 1])
@@ -287,6 +308,25 @@ class _SineCurve:
         return hi
 
 
+def _folded_grid(d: int, points: int) -> tuple:
+    """The distinct phases that the grid 2*pi*j/points (j < points) folds onto
+    in the half-cell [0, pi/d], and how many grid points fold onto each.
+
+    Point j sits at (2*pi/d) * r/points in its cell, r = j*d mod points, and
+    folds to (2*pi/d) * f/points with f = min(r, points - r).  With
+    g = gcd(d, points), r runs over the multiples of g, each g times, so f
+    runs over 0, g, ..., up to points/2: g points fold onto f = 0 and onto
+    f = points/2, and 2g onto every other f.
+    """
+    g = math.gcd(d, points)
+    f = np.arange(0, points // 2 + 1, g)
+    weights = np.full(f.size, 2.0 * g)
+    weights[0] = g
+    if 2 * f[-1] == points:
+        weights[-1] = g
+    return TWO_PI / d * f / points, weights
+
+
 def _optimal_fast_row(m: int, eta: float, grid_points: int, binom: np.ndarray):
     """Error figures for the sine state from the lag sums of its phi = 0 output.
 
@@ -295,15 +335,16 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int, binom: np.ndarray):
     +-argmin_phi + 2*pi*l/(m+1).  ``min_rms`` is the RMS there, not the
     lowest scan sample, which rounding noise biases low; ``avg_rms`` is
     the mean over ``grid_points`` equally spaced phases of one period,
-    each folded onto the half-cell by ``_SineCurve.rms`` and evaluated
-    in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
+    summed over the distinct phases they fold onto in the half-cell, each
+    weighted by how many of them fold there (``_folded_grid``), and
+    evaluated in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
     """
     curve = _SineCurve(m, eta, binom)
-    grid = TWO_PI / grid_points * np.arange(grid_points)
+    phases, weights = _folded_grid(curve.d, grid_points)
     block = max(1, PHASE_BLOCK_ELEMENTS // curve.d)
     avg = float(np.concatenate([
-        curve.rms(grid[i : i + block]) for i in range(0, grid_points, block)
-    ]).mean())
+        curve.rms(phases[i : i + block]) for i in range(0, phases.size, block)
+    ]) @ weights) / grid_points
     phi_star = curve.folded_argmin()
     holevo = _holevo_dispersion(abs(float(curve.lag_sums[0])))
     return float(curve.rms(phi_star)), phi_star, avg, holevo
@@ -382,6 +423,8 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     report = None
     report_paths = ()
     if cfg.validate:
+        from .protocol import validate_closed_forms  # the gate and its Kraus oracle load here
+
         report = validate_closed_forms(min(8, top))
         base = Path(cfg.output_path)
         txt = base.with_name(base.name + ".validation.txt")

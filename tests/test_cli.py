@@ -43,12 +43,14 @@ class TestExitCodes:
         assert "m_prime" in capsys.readouterr().err
 
     def test_validation_failure_exit(self, tmp_path, capsys, monkeypatch):
+        import interferolab.protocol as protocol_mod
         from interferolab.protocol import ValidationCell, ValidationReport
 
         bad = ValidationReport(
             (ValidationCell("rho", 2, -1, 0.9, 0.3, 0.5, (1, 0)),), 1e-10
         )
-        monkeypatch.setattr(sweep_mod, "validate_closed_forms", lambda *a, **k: bad)
+        # run_sweep looks the gate up in protocol when --validate asks for it
+        monkeypatch.setattr(protocol_mod, "validate_closed_forms", lambda *a, **k: bad)
         code = run([
             "--n-min", "2", "--n-max", "3", "--n-step", "1",
             "--phi-grid", "90", "--validate", "--out", str(tmp_path / "x.csv"),
@@ -255,12 +257,22 @@ class TestModuleEntryPoint:
         )
 
     def test_import_loads_only_numpy_and_stdlib(self, tmp_path):
-        # every CLI run pays for what the import loads (setup_s in bench/)
+        # every CLI run pays for what the import loads (setup_s in bench/), and a
+        # sweep runs on the engine alone: the Fock containers, the states and the
+        # Kraus oracle with its gate load only for --validate, the references never
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import interferolab.cli\n"
             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+            "def package():\n"
+            "    print(*sorted(m for m in sys.modules if m.startswith('interferolab.')))\n"
+            "package()\n"
+            "for args in (['--n-min', '2', '--n-max', '4'],\n"
+            "             ['--family', 'mm', '--n-min', '5', '--n-max', '7'],\n"
+            "             ['--family', 'mm', '--n-min', '5', '--n-max', '7', '--validate']):\n"
+            "    assert interferolab.cli.main([*args, '--phi-grid', '8', '--out', 'x.csv']) == 0\n"
+            "    package()\n"
         )
         env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
         proc = subprocess.run(
@@ -268,10 +280,25 @@ class TestModuleEntryPoint:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        lines = proc.stdout.splitlines()
+        loaded = set(lines[0].split())
         assert "interferolab" in loaded
         assert loaded - {"interferolab", "numpy"} <= set(sys.stdlib_module_names)
+        package = [set(line.split()) for line in lines if line.startswith("interferolab.")]
+        engine_only = {"interferolab.cli", "interferolab.sweep", "interferolab.engine"}
+        assert package[:3] == [engine_only] * 3  # after the import, an optimal and an mm sweep
+        assert "interferolab.protocol" in package[3]  # --validate
+        assert "interferolab.estimation" not in package[3]
         assert "concurrent" not in loaded  # rows run on the calling thread
+
+    def test_package_resolves_every_public_name(self):
+        # interferolab/__init__ loads each name's module on first use
+        import interferolab
+
+        assert [n for n in interferolab.__all__ if getattr(interferolab, n, None) is None] == []
+        assert set(interferolab.__all__) <= set(dir(interferolab))
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            interferolab.no_such_name
 
     # (max - min) / step overflows to inf, so the row count is not a number;
     # or it is finite but far too large to list.  The child runs under a

@@ -145,7 +145,7 @@ class TestLossChannel:
         with pytest.raises(ValueError, match=r"^transmissivity must be in \(0, 1\], got "):
             make(eta)
 
-    def test_memoised_and_read_only(self):
+    def test_kraus_matrices_are_read_only(self):
         # each call builds a fresh channel; its matrices are read-only
         ch = loss_channel(0.9, 5)
         assert not any(k.flags.writeable for k in ch.kraus)

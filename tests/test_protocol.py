@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import interferolab.engine as engine_mod
 import interferolab.protocol as protocol_mod
 from interferolab import (
     DensityMatrix,
@@ -430,12 +431,12 @@ class TestBlockedRoute:
         # switches the loss table to F order (d = 182); the loop's lags do
         amps = _sine_amplitudes(100)
         want = _round_trip(amps, 0.9, largest_table)
-        loss_amplitudes = protocol_mod._loss_amplitudes
+        loss_amplitudes = engine_mod._loss_amplitudes
 
         def f_order(*args):
             return np.asfortranarray(loss_amplitudes(*args))
 
-        monkeypatch.setattr(protocol_mod, "_loss_amplitudes", f_order)
+        monkeypatch.setattr(engine_mod, "_loss_amplitudes", f_order)  # where _round_trip looks
         got = _round_trip(amps, 0.9, largest_table)
         blocked = range(protocol_mod._LOOP_LOW_LAGS, 101)
         assert all(np.array_equal(got[k], want[k]) for k in blocked)

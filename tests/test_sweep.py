@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interferolab.engine as engine_mod
 import interferolab.fock as fock_mod
 import interferolab.protocol as protocol_mod
 import interferolab.sweep as sweep_mod
@@ -39,6 +40,7 @@ from interferolab.fock import binomial_table
 from interferolab.sweep import (
     FAMILIES,
     CurvePoint,
+    _folded_grid,
     _mm_row,
     _optimal_fast_row,
     _SineCurve,
@@ -101,13 +103,14 @@ class TestConfigValidation:
 
 
 class TestRowMachinery:
-    # odd and even d, and grids whose last block of phases is partly filled;
-    # blocks hold PHASE_BLOCK_ELEMENTS // d phases: one block covers all 720
-    # phases at d = 5, and d = 41 fills 469 + 31 of a 500-point grid
+    # odd and even d, with g = gcd(d, grid) of 1 and above and both parities of
+    # grid / g; the average runs over the grid // (2g) + 1 distinct folded phases
+    # (73 at d = 5 and 720 points, 251 at d = 41 and 500 points), each weighted
+    # by the points that fold onto it
     @pytest.mark.parametrize(
         "m, eta, grid",
         [(6, 0.85, 90), (41, 0.9, 97), (60, 0.7, 2), (13, 1.0, 720), (4, 0.8, 720),
-         (40, 0.9, 500)],
+         (40, 0.9, 500), (14, 0.6, 75)],
     )
     def test_fast_row_matches_public_operations(self, m, eta, grid):
         best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid, binomial_table(m))
@@ -130,6 +133,60 @@ class TestRowMachinery:
         from interferolab import holevo_variance
 
         assert holevo == pytest.approx(holevo_variance(rho0), abs=1e-14)
+
+    def test_average_does_not_depend_on_the_phase_block(self, monkeypatch):
+        # blocks hold PHASE_BLOCK_ELEMENTS // d phases: the 251 phases of d = 41 at
+        # 500 points fill one default block of 469, or 6 blocks of 40 and one of 11
+        want = _optimal_fast_row(40, 0.9, 500, binomial_table(40))
+        monkeypatch.setattr(sweep_mod, "PHASE_BLOCK_ELEMENTS", 40 * 41)
+        got = _optimal_fast_row(40, 0.9, 500, binomial_table(40))
+        assert got[2] == pytest.approx(want[2], rel=1e-14)
+        assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 12, 41, 60, 301])
+    def test_fold_multiplicities_are_the_brute_fold(self, d):
+        # grid point j sits at r = j*d mod points in units of one cell / points and
+        # folds to f = min(r, points - r); the closed form counts each f
+        for points in range(2, 200):
+            r = np.arange(points) * d % points
+            f = np.minimum(r, points - r)
+            count = np.bincount(f)
+            phases, weights = _folded_grid(d, points)
+            g = math.gcd(d, points)
+            assert weights.sum() == points
+            assert np.array_equal(weights, count[::g])
+            assert not count[np.arange(count.size) % g != 0].any()
+            # each point, folded as rms folds it, sits at its distinct phase
+            cell = TWO_PI / d
+            grid = TWO_PI / points * np.arange(points) % cell
+            assert np.allclose(phases[f // g], np.minimum(grid, cell - grid), rtol=0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 400), eta=st.floats(0.05, 1.0), points=st.integers(2, 3000))
+    @example(m=4, eta=0.8, points=720)  # gcd 5, 144 cells' worth of points: even
+    @example(m=14, eta=0.6, points=75)  # gcd 15, odd
+    @example(m=269, eta=0.8645, points=10)  # gcd 10: every point folds onto phase 0
+    @example(m=41, eta=0.9, points=97)  # gcd 1, odd
+    @example(m=6, eta=0.85, points=90)  # gcd 1, even
+    def test_folded_average_is_the_grid_mean(self, m, eta, points):
+        curve = _SineCurve(m, eta, binomial_table(m))
+        phases, weights = _folded_grid(curve.d, points)
+        values = curve.rms(phases)
+        got = float(values @ weights) / points
+        # the same values, one per grid point by the brute fold: only the weights differ
+        g = math.gcd(curve.d, points)
+        r = np.arange(points) * curve.d % points
+        assert got == pytest.approx(values[np.minimum(r, points - r) // g].mean(), rel=1e-14)
+        # the definition: the mean over the grid, each point folded by rms itself.
+        # rms**2 is a difference of terms of size `size` (see _SineCurve), so two
+        # evaluations an ulp of phase apart differ by up to about eps * size / rms**2
+        # relative (2.8e-12 seen at m = 269, eta = 0.8645, 10 points)
+        want = float(curve.rms(TWO_PI * np.arange(points) / points).mean())
+        half = math.pi / curve.d
+        size = curve.trace * (curve.mean_square_offset + 2 * half * curve.mean_offset + half**2)
+        coeffs = np.abs(curve.value_pairs).reshape(-1, 2, 2).sum(axis=1)  # |Re| + |Im|
+        size += 2 / curve.d * float(np.abs(curve.lag_sums) @ coeffs @ [1, half])
+        assert got == pytest.approx(want, rel=max(1e-14, 16 * np.finfo(float).eps * size / want**2))
 
     @pytest.mark.parametrize("eta", [0.5, 0.9])
     @pytest.mark.parametrize("m", [6, 41, 180, 181, 300])
@@ -324,7 +381,7 @@ class TestRunSweep:
             channels.append((eta, dim))
             return loss_channel(eta, dim)
 
-        for mod in (fock_mod, protocol_mod, sweep_mod):
+        for mod in (engine_mod, fock_mod, protocol_mod, sweep_mod):
             monkeypatch.setattr(mod, "binomial_table", counting_table)
         monkeypatch.setattr(protocol_mod, "_kraus_round_trip", counting_round_trip)
         monkeypatch.setattr(protocol_mod, "loss_channel", counting_channel)
@@ -423,7 +480,8 @@ class TestRunSweep:
         bad = ValidationReport(
             (ValidationCell("rho", 2, -1, 0.9, 0.3, 1.0, (0, 0)),), 1e-10
         )
-        monkeypatch.setattr(sweep_mod, "validate_closed_forms", lambda *a, **k: bad)
+        # run_sweep looks the gate up in protocol when cfg.validate asks for it
+        monkeypatch.setattr(protocol_mod, "validate_closed_forms", lambda *a, **k: bad)
         cfg = small_cfg(tmp_path, validate=True)
         with pytest.raises(ValidationFailure):
             run_sweep(cfg)
