@@ -1,8 +1,10 @@
 """The round-trip engine: everything a sweep row computes, on numpy alone.
 
-A sweep row needs the binomial table, the input amplitudes (the sine
-state, or the two-component state of an ``MmStateSpec``), the lag-space
-round trip ``_round_trip`` with its loss amplitudes, and the figures read
+A sweep row needs the input amplitudes (the sine state, or the
+two-component state of an ``MmStateSpec``), the lag-space round trip
+``_round_trip`` with the loss table of its transmissivity (the loss
+amplitudes and their square, built from the binomial table once per eta
+and read by every row through its top-left block), and the figures read
 off its lags: the Holevo dispersion, the propagated error of the
 two-component observable and the shot-noise, Heisenberg and lossy-NOON
 baselines.  They live here so that a sweep loads only this module; the
@@ -82,16 +84,33 @@ def _mm_amplitudes(spec: MmStateSpec) -> np.ndarray:
 _BINOM_OVERFLOW = 1030  # binomials of this n and above overflow double
 
 
-def _loss_amplitudes(d: int, eta: float, binom=None) -> np.ndarray:
-    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping a of
-    c photons, C from the top-left block of binom (a binomial_table of at least d
-    rows; None builds one).  (1-eta) is raised to each loss count once."""
+def _check_rows(d: int) -> None:
     if d > _BINOM_OVERFLOW:  # raised before anything d x d is built
         raise ValueError(f"loss amplitudes are non-finite: binomials of {_BINOM_OVERFLOW} overflow")
+
+
+def _loss_amplitudes(d: int, eta: float, binom=None) -> np.ndarray:
+    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping a of
+    c photons, in C order, C from the top-left block of binom (a binomial_table of
+    at least d rows; None builds one).  (1-eta) is raised to each loss count once,
+    and its powers are read through a Toeplitz view, so the table is the only
+    d x d array built."""
+    _check_rows(d)
     binom = (binomial_table(d - 1) if binom is None else binom)[:d, :d]
     n = np.arange(d)
-    kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
-    return np.sqrt(binom.T * eta**kept * ((1.0 - eta) ** n)[lost])
+    amp = np.multiply(binom.T, eta ** n[:, None], order="C")
+    # row a of the view is (1-eta)^(c-a) for c >= a and 0 below, where C(c, a) is 0
+    lost = np.concatenate((np.zeros(d - 1), (1.0 - eta) ** n))
+    amp *= np.lib.stride_tricks.sliding_window_view(lost, d)[::-1]
+    return np.sqrt(amp, out=amp)
+
+
+def _loss_table(d: int, eta: float, binom=None) -> tuple:
+    """The loss table of eta: the pair (amp, W_0) of ``_loss_amplitudes`` and its
+    square, both C order with d rows.  A round trip of any size up to d reads
+    their top-left blocks, which equal the smaller table's bit for bit."""
+    amp = _loss_amplitudes(d, eta, binom)
+    return amp, np.square(amp)
 
 
 def _occupied_lags(amps: np.ndarray) -> np.ndarray:
@@ -106,11 +125,12 @@ _LOOP_LOW_LAGS = 2  # lags below this run the loop in every input: the trace and
 _LAG_BLOCK = 64  # lags per block, and rows of W_0 per product, of the blocked route
 
 
-def _round_trip(amps: np.ndarray, eta: float, binom=None) -> dict:
+def _round_trip(amps: np.ndarray, eta: float, table=None) -> dict:
     """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
     the round-trip output at phi = 0 with transmissivity eta in both arms,
     as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies,
-    with loss amplitudes from ``binom`` (see ``_loss_amplitudes``).
+    through ``table``, the loss table of eta (``_loss_table``) with at least
+    d rows; None builds one of d rows.
 
     Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
     with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
@@ -124,30 +144,36 @@ def _round_trip(amps: np.ndarray, eta: float, binom=None) -> dict:
     ``_blocked_round_trip``, which is faster from about 20 lags on but
     rounds differently: run on every input, it moves bits of the validation
     report, and on the lowest lags, last digits of large sweeps' CSV cells.
+    Both routes read W_0 from the table rather than squaring amp, and the
+    loop's last bits follow the table's memory order, which is why the
+    table is C order at every d.
     """
     d = amps.size
-    amp = _loss_amplitudes(d, eta, binom)
+    _check_rows(d)  # a shared table stops at the limit; a larger row fails here
+    if table is None:
+        table = _loss_table(d, eta)
     ks = _occupied_lags(amps)
     split = ks.size if ks.size <= _LOOP_MAX_LAGS else np.searchsorted(ks, _LOOP_LOW_LAGS)
-    lags = {k: _lag_round_trip(amps, amp, k) for k in map(int, ks[:split])}
+    lags = {k: _lag_round_trip(amps, table, k) for k in map(int, ks[:split])}
     if split < ks.size:
-        amp = np.square(amp, order="C")  # W_0 in one memory order: numpy's for amp flips at d = 182
-        lags.update(_blocked_round_trip(amps, eta, amp, ks[split:]))
+        lags.update(_blocked_round_trip(amps, eta, table[1], ks[split:]))
     return lags
 
 
-def _lag_round_trip(amps: np.ndarray, amp: np.ndarray, k: int) -> np.ndarray:
-    """Lag k of ``_round_trip`` through its own W_k[i, j] = amp[i, j] amp[i+k, j+k]."""
+def _lag_round_trip(amps: np.ndarray, table: tuple, k: int) -> np.ndarray:
+    """Lag k of ``_round_trip`` through its own W_k[i, j] = amp[i, j] amp[i+k, j+k],
+    read from the loss table (amp, W_0) as W_0's block at k = 0."""
     d = amps.size
-    w = amp[: d - k, : d - k] * amp[k:, k:]
+    amp, w0 = table
+    w = w0[:d, :d] if k == 0 else amp[: d - k, : d - k] * amp[k:d, k:d]
     return w @ (w @ (amps[: d - k] * amps[k:]))[::-1]
 
 
 def _blocked_round_trip(amps: np.ndarray, eta: float, w0: np.ndarray, ks: np.ndarray) -> dict:
     """The lags ks (ascending) of ``_round_trip``, _LAG_BLOCK at a time, as a
     (lags, rows) block over the rows of its lowest lag, zero past each lag's
-    end: the two loss legs (``_loss_leg``) with W_0 = w0, and between them
-    the reversal, which sends row i of lag k to row d-k-1-i.
+    end: the two loss legs (``_loss_leg``) with W_0 from w0's top-left block,
+    and between them the reversal, which sends row i of lag k to row d-k-1-i.
 
     The legs scale lag k's row i by exp(g_k(i) - c_k), with g_k(n) =
     ln((n+k)! / n!) / 2 from cumulative log sums and c_k the middle of g_k's

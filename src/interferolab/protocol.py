@@ -11,11 +11,13 @@ production engine, ``engine._round_trip`` (re-exported here), returns only
 the output's lag diagonals (n - n' = k) that the input occupies, as
 {k: lag}, O(d) numbers each: by a loop over the lags for an input on few
 lags, and for a larger one by products of 64 lags at a time with the
-binomial loss matrix, one per loss leg.  Its binomials do not depend on
-eta, so a sweep builds one table for all of its rows; the public functions
-build their own, and ``optimal_state_output`` and ``mm_state_output``
-assemble d x d matrices from the lags.  Each call runs one round trip, so a
-phase scan should apply each phase to one phi = 0 output.
+binomial loss matrix, one per loss leg.  Both read a loss table that
+depends on eta alone and serves every smaller round trip through its
+top-left block, so a sweep over n and the validation gate build one per
+eta; the public functions build their own, and ``optimal_state_output``
+and ``mm_state_output`` assemble d x d matrices from the lags.  Each call
+runs one round trip, so a phase scan should apply each phase to one
+phi = 0 output.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .engine import (  # noqa: F401  (the loop's names: tests reach them through
     _check_eta,
     _lag_round_trip,
     _loss_amplitudes,
+    _loss_table,
     _mm_amplitudes,
     _occupied_lags,
     _round_trip,
@@ -205,8 +208,10 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
     splittings, recording the worst elementwise deviation per cell.  Each (m, eta)
     runs one lag round trip per state, whose lags serve every phase, and one Kraus
     round trip on the stack of its states at all phases, checked at once, with one
-    loss channel built for both arms."""
+    loss channel built for both arms.  The lag round trips read one loss table per
+    eta, built for max_m from one binomial table."""
     binom = binomial_table(max_m)
+    tables = {eta: _loss_table(max_m + 1, eta, binom) for eta in _VALIDATION_ETAS}
     phis = np.array(_VALIDATION_PHIS)[:, None]  # the stack: phases down, states across
     cells = []
     for m in range(1, max_m + 1):
@@ -219,7 +224,7 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
             oracle = _kraus_round_trip(kets[:, :, None] * kets[:, None, :].conj(), phis,
                                        _VALIDATION_THETA, loss, loss)
             _check_density(oracle)
-            lags = [_round_trip(a, eta, binom) for a in amps]
+            lags = [_round_trip(a, eta, tables[eta]) for a in amps]
             closed = [[_output_matrix(lag, phi, False).mat for lag in lags]
                       for phi in _VALIDATION_PHIS]
             for phi, devs in zip(_VALIDATION_PHIS, np.abs(closed - oracle)):

@@ -22,6 +22,7 @@ from .engine import (
     _BINOM_OVERFLOW,
     MmStateSpec,
     _holevo_dispersion,
+    _loss_table,
     _mm_amplitudes,
     _mm_error_terms,
     _round_trip,
@@ -206,10 +207,10 @@ class _SineCurve:
     closed-form series in the c_k, so no outcome probability is formed.
     """
 
-    def __init__(self, m: int, eta: float, binom: np.ndarray):
+    def __init__(self, m: int, eta: float, table: tuple):
         # summed as complex, like np.sum over a complex diagonal: a real sum pairs
         # the terms differently, and min_rms at N = 28 of the default sweep moves
-        diagonals = _round_trip(_sine_amplitudes(m), eta, binom).values()
+        diagonals = _round_trip(_sine_amplitudes(m), eta, table).values()
         sums = [lag.sum(dtype=complex).real for lag in diagonals]
         self.d = d = m + 1
         self.lags = lags = np.arange(1, d)
@@ -327,7 +328,7 @@ def _folded_grid(d: int, points: int) -> tuple:
     return TWO_PI / d * f / points, weights
 
 
-def _optimal_fast_row(m: int, eta: float, grid_points: int, binom: np.ndarray):
+def _optimal_fast_row(m: int, eta: float, grid_points: int, table: tuple):
     """Error figures for the sine state from the lag sums of its phi = 0 output.
 
     The reported phase is the minimiser folded into [0, pi/(m+1)] (see
@@ -339,7 +340,7 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int, binom: np.ndarray):
     weighted by how many of them fold there (``_folded_grid``), and
     evaluated in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
     """
-    curve = _SineCurve(m, eta, binom)
+    curve = _SineCurve(m, eta, table)
     phases, weights = _folded_grid(curve.d, grid_points)
     block = max(1, PHASE_BLOCK_ELEMENTS // curve.d)
     avg = float(np.concatenate([
@@ -350,7 +351,7 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int, binom: np.ndarray):
     return float(curve.rms(phi_star)), phi_star, avg, holevo
 
 
-def _mm_row(spec: MmStateSpec, eta: float, binom: np.ndarray):
+def _mm_row(spec: MmStateSpec, eta: float, table: tuple):
     """Least propagated error of the two-component state, and its phase.
 
     The mean square MS and coherence C of the observable do not depend on
@@ -360,11 +361,13 @@ def _mm_row(spec: MmStateSpec, eta: float, binom: np.ndarray):
     by convention where the curve is flat, as at eta = 1).
     """
     phi_star = math.pi / (2 * spec.delta)
-    terms = _mm_error_terms(spec, _round_trip(_mm_amplitudes(spec), eta, binom))
+    terms = _mm_error_terms(spec, _round_trip(_mm_amplitudes(spec), eta, table))
     return mm_phase_error_closed(terms, phi_star), phi_star
 
 
-def _compute_row(cfg: SweepConfig, value: float, binom: np.ndarray | None) -> CurvePoint:
+def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
+    """The row at sweep value ``value``; ``table_for(eta)`` gives the loss table
+    of its transmissivity, read only by the families that run a round trip."""
     if cfg.sweep_axis == "n":
         n, eta = value, cfg.fixed_eta
     else:
@@ -373,19 +376,22 @@ def _compute_row(cfg: SweepConfig, value: float, binom: np.ndarray | None) -> Cu
     where = f"sweep={format_float(value)} (top index {m})"
     try:
         base = baselines(n, eta)
+        columns = {}
+        if cfg.state_family == "optimal":
+            best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points,
+                                                            table_for(eta))
+            columns = dict(min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
+        elif cfg.state_family in ("mm", "no"):
+            m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
+            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta, table_for(eta))
+            columns = dict(mm_error=best, argmin_phi=phi_star)
         point = CurvePoint(
             sweep=value,
             shot_noise=base.shot_noise,
             heisenberg=base.heisenberg,
             noon=base.noon_error,
+            **columns,
         )
-        if cfg.state_family == "optimal":
-            best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points, binom)
-            point = replace(point, min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
-        elif cfg.state_family in ("mm", "no"):
-            m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
-            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta, binom)
-            point = replace(point, mm_error=best, argmin_phi=phi_star)
     except (ValueError, ArithmeticError) as exc:  # check() passed, so the numbers broke down
         raise ValidationFailure(f"{where}: {exc}") from exc
     for f in fields(point):
@@ -438,9 +444,19 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 f"not below tolerance {report.tolerance:.1e} (report: {txt})"
             )
 
-    # the binomials do not depend on eta, so one table serves every row; noon rows read none
-    binom = None if cfg.state_family == "noon" else binomial_table(min(top, _BINOM_OVERFLOW - 1))
-    rows = [_compute_row(cfg, v, binom) for v in values]
+    # a loss table depends on eta alone, and its top-left block is the smaller
+    # table bit for bit: a sweep over n builds one for its largest row (or up to
+    # the binomial limit, past which a row fails in its own round trip), and a
+    # sweep over eta one per row from one binomial table; noon rows read none
+    if cfg.state_family == "noon":
+        table_for = None
+    elif cfg.sweep_axis == "n":
+        shared = _loss_table(min(top + 1, _BINOM_OVERFLOW), cfg.fixed_eta)
+        table_for = lambda eta: shared  # noqa: E731
+    else:
+        binom = binomial_table(min(top, _BINOM_OVERFLOW - 1))
+        table_for = lambda eta: _loss_table(top + 1, eta, binom)  # noqa: E731
+    rows = [_compute_row(cfg, v, table_for) for v in values]
     rows, unmatched = _with_external(rows, external)
 
     lines = [CSV_HEADER] + [r.csv_row() for r in rows]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import interferolab.engine as engine_mod
 import interferolab.protocol as protocol_mod
 from interferolab import (
     DensityMatrix,
@@ -35,6 +34,7 @@ from interferolab.protocol import (
     _kraus_round_trip,
     _lag_round_trip,
     _loss_amplitudes,
+    _loss_table,
     _occupied_lags,
     _output_matrix,
     _round_trip,
@@ -319,28 +319,43 @@ class TestLossMap:
         atol = d * math.sqrt(binomial_table(d - 1).max() * np.finfo(float).tiny)
         assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)) + atol
 
-    @pytest.mark.parametrize("eta", [0.5, 0.9, 0.9266, 1.0])
-    @pytest.mark.parametrize("d", [2, 61, 62, 181, 182, 301, 1030])
+    @pytest.mark.parametrize("eta", [0.02, 0.5, 0.9, 0.9266, 0.999, 1.0])
+    @pytest.mark.parametrize("d", [2, 61, 62, 181, 182, 198, 301, 1001, 1030])
     def test_table_bitwise_equal_to_the_elementwise_power(self, d, eta, largest_table):
-        # (1-eta) is raised to each loss count once and gathered; values and
-        # memory order must equal those of the d x d power, bit for bit, both
-        # from the table's own binomials and from a block cut from a larger
-        # table, as a sweep passes it to every row
+        # the table is built in place, with the powers of (1-eta) read through a
+        # Toeplitz view; its values must equal those of the d x d power below,
+        # bit for bit, both from the table's own binomials and from a block cut
+        # from a larger binomial table
         n = np.arange(d)
         kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
         want = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
         for binom in (None, largest_table):
             got = _loss_amplitudes(d, eta, binom)
-            assert got.strides == want.strides
+            assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("d, c_order", [(181, True), (182, False)])
-    def test_table_memory_order_is_pinned(self, d, c_order):
-        # the last bits of the per-lag loop depend on the memory order of this
-        # table, and numpy gives C order up to d = 181 and F order from d = 182
-        # on; flipping it moves bytes of the M&M rows with m >= 181
-        amp = _loss_amplitudes(d, 0.9)
-        assert (amp.flags.c_contiguous, amp.flags.f_contiguous) == (c_order, not c_order)
+    @pytest.mark.parametrize("d", [2, 181, 182, 301, 1030])
+    def test_table_memory_order_is_pinned(self, d):
+        # the last bits of the per-lag loop depend on the memory order of the
+        # table, where numpy would pick C order up to d = 181 and F order from
+        # d = 182 on; the table is C order at every d, so that a block cut from
+        # a larger table, as a sweep passes it to every row, has the bits of
+        # the smaller table
+        amp, w0 = _loss_table(d, 0.9)
+        assert amp.flags.c_contiguous and w0.flags.c_contiguous
+        assert np.array_equal(w0, amp * amp)
+
+    def test_table_build_holds_one_d_by_d_array(self, largest_table):
+        # the table is the only d x d array its build allocates: 3.0 d^2 doubles
+        # at d = 1001 when the (1-eta) powers were gathered through an index table
+        d = 1001
+        tracemalloc.start()
+        try:
+            _loss_amplitudes(d, 0.9, largest_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * d * d * 8
 
     def test_overflowing_binomials_raise(self, largest_table):
         # binomials of 1030 overflow double: the check comes before any table is
@@ -379,13 +394,13 @@ class TestBlockedRoute:
         ks = _occupied_lags(amps)
         assume(ks.size > protocol_mod._LOOP_MAX_LAGS)
         d = m + 1
-        got = _round_trip(amps, eta, largest_table)
+        table = _loss_table(d, eta, largest_table)
+        got = _round_trip(amps, eta, table)
         assert list(got) == ks.tolist()
-        amp = _loss_amplitudes(d, eta, largest_table)
         floor = d * math.sqrt(largest_table[:d, :d].max() * np.finfo(float).tiny)
         sums = []
         for k in map(int, ks):
-            want = _lag_round_trip(amps, amp, k)
+            want = _lag_round_trip(amps, table, k)
             if k < protocol_mod._LOOP_LOW_LAGS:
                 assert np.array_equal(got[k], want)
             assert got[k].shape == want.shape
@@ -402,44 +417,79 @@ class TestBlockedRoute:
         # entry into NaN.  The loop's own trace misses 1 by 7.5e-13 here
         d = m + 1
         amps = _sine_amplitudes(m)
-        lags = _round_trip(amps, eta, largest_table)
+        table = _loss_table(d, eta, largest_table)
+        lags = _round_trip(amps, eta, table)
         assert list(lags) == list(range(d))
         assert all(np.isfinite(lag).all() for lag in lags.values())
         assert abs(lags[0].sum() - 1.0) <= 2e-12
-        amp = _loss_amplitudes(d, eta, largest_table)
         for k in (1, d // 2, d - 2):
-            want = _lag_round_trip(amps, amp, k)
+            want = _lag_round_trip(amps, table, k)
             assert np.max(np.abs(lags[k] - want)) <= 1e-12 * np.max(np.abs(want)), k
 
     def test_peak_memory_is_the_tables_and_one_block(self, largest_table):
         # tracemalloc sees numpy's arrays, not OpenBLAS's packing buffers.  At
-        # m = 1000 the loss table's temporaries peak at 3.0 d^2 doubles, and
-        # the blocked route holds W_0 (d^2), the lags (d^2 / 2) and one block of
-        # 64 lags; products over all lags at once peak at 8.0 d^2
+        # m = 1000 the loss table (amp and W_0, 2 d^2 doubles) is built in place,
+        # and the blocked route adds the lags (d^2 / 2) and one block of 64
+        # lags; products over all lags at once peak at 8.0 d^2
         d = 1001
         amps = _sine_amplitudes(d - 1)
         tracemalloc.start()
         try:
-            _round_trip(amps, 0.9, largest_table)
+            _round_trip(amps, 0.9, _loss_table(d, 0.9, largest_table))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * d * d * 8
 
-    def test_bits_do_not_follow_the_table_memory_order(self, monkeypatch, largest_table):
-        # W_0 is built in C order, so the blocked lags do not change where numpy
-        # switches the loss table to F order (d = 182); the loop's lags do
+    def test_bits_do_not_follow_the_table_memory_order(self):
+        # the blocked lags read only W_0, so an F-order amp leaves them as they
+        # are; the loop's lag 1 reads amp and follows its order
         amps = _sine_amplitudes(100)
-        want = _round_trip(amps, 0.9, largest_table)
-        loss_amplitudes = engine_mod._loss_amplitudes
-
-        def f_order(*args):
-            return np.asfortranarray(loss_amplitudes(*args))
-
-        monkeypatch.setattr(engine_mod, "_loss_amplitudes", f_order)  # where _round_trip looks
-        got = _round_trip(amps, 0.9, largest_table)
+        amp, w0 = _loss_table(101, 0.9)
+        want = _round_trip(amps, 0.9, (amp, w0))
+        got = _round_trip(amps, 0.9, (np.asfortranarray(amp), w0))
         blocked = range(protocol_mod._LOOP_LOW_LAGS, 101)
         assert all(np.array_equal(got[k], want[k]) for k in blocked)
+
+    # cut from tables of every size up to the binomial limit: loop lags 0 and 1
+    # at d = 181 and 182 (numpy's own order flips there), M&M splittings, the
+    # smallest and largest inputs, and eta where eta^a underflows or loss is nil
+    @settings(max_examples=50, deadline=None)
+    @given(
+        d=st.integers(1, 1030),
+        extra=st.integers(0, 1029),
+        eta=st.one_of(st.sampled_from([0.02, 0.9, 1.0]), st.floats(0.02, 1.0)),
+        kind=st.sampled_from(["sine", "mm", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=181, extra=120, eta=0.9, kind="sine", seed=0)
+    @example(d=182, extra=119, eta=0.9, kind="sine", seed=0)
+    @example(d=182, extra=0, eta=0.02, kind="mm", seed=0)
+    @example(d=198, extra=103, eta=1.0, kind="mm", seed=1)
+    @example(d=181, extra=849, eta=0.02, kind="random", seed=2)
+    @example(d=1, extra=1029, eta=0.9, kind="sine", seed=0)
+    @example(d=1030, extra=0, eta=0.9, kind="sine", seed=0)
+    @example(d=301, extra=729, eta=0.9, kind="sine", seed=0)
+    def test_a_block_of_a_larger_table_gives_the_same_bits(
+            self, d, extra, eta, kind, seed, largest_table):
+        # a sweep builds one table for its largest row and every row reads the
+        # top-left block of its size: each lag must have the bits it has
+        # through a table of exactly d rows, on the loop and the blocked route
+        big = min(d + extra, 1030)
+        rng = np.random.default_rng(seed)
+        if kind == "sine":
+            amps = _sine_amplitudes(d - 1) if d > 1 else np.ones(1)
+        elif kind == "mm":
+            assume(d > 1)
+            amps = _mm_amplitudes(MmStateSpec(d - 1, int(rng.integers(d - 1))))
+        else:
+            amps = np.abs(rng.normal(size=d))
+            amps /= np.linalg.norm(amps)
+        want = _round_trip(amps, eta, _loss_table(d, eta, largest_table))
+        got = _round_trip(amps, eta, _loss_table(big, eta, largest_table))
+        assert list(got) == list(want)
+        for k in want:
+            assert np.array_equal(got[k].view(np.uint64), want[k].view(np.uint64)), k
 
 
 class TestOptimalStateOutput:

@@ -36,6 +36,7 @@ from interferolab import (
     run_sweep,
 )
 from interferolab.cli import main as cli_main
+from interferolab.engine import _loss_table
 from interferolab.fock import binomial_table
 from interferolab.sweep import (
     FAMILIES,
@@ -113,7 +114,7 @@ class TestRowMachinery:
          (40, 0.9, 500), (14, 0.6, 75)],
     )
     def test_fast_row_matches_public_operations(self, m, eta, grid):
-        best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid, binomial_table(m))
+        best, phi_star, avg, holevo = _optimal_fast_row(m, eta, grid, _loss_table(m + 1, eta))
 
         rho0 = optimal_state_output(m, eta, 0.0)
 
@@ -137,9 +138,9 @@ class TestRowMachinery:
     def test_average_does_not_depend_on_the_phase_block(self, monkeypatch):
         # blocks hold PHASE_BLOCK_ELEMENTS // d phases: the 251 phases of d = 41 at
         # 500 points fill one default block of 469, or 6 blocks of 40 and one of 11
-        want = _optimal_fast_row(40, 0.9, 500, binomial_table(40))
+        want = _optimal_fast_row(40, 0.9, 500, _loss_table(41, 0.9))
         monkeypatch.setattr(sweep_mod, "PHASE_BLOCK_ELEMENTS", 40 * 41)
-        got = _optimal_fast_row(40, 0.9, 500, binomial_table(40))
+        got = _optimal_fast_row(40, 0.9, 500, _loss_table(41, 0.9))
         assert got[2] == pytest.approx(want[2], rel=1e-14)
         assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
 
@@ -169,7 +170,7 @@ class TestRowMachinery:
     @example(m=41, eta=0.9, points=97)  # gcd 1, odd
     @example(m=6, eta=0.85, points=90)  # gcd 1, even
     def test_folded_average_is_the_grid_mean(self, m, eta, points):
-        curve = _SineCurve(m, eta, binomial_table(m))
+        curve = _SineCurve(m, eta, _loss_table(m + 1, eta))
         phases, weights = _folded_grid(curve.d, points)
         values = curve.rms(phases)
         got = float(values @ weights) / points
@@ -192,8 +193,8 @@ class TestRowMachinery:
     @pytest.mark.parametrize("m", [6, 41, 180, 181, 300])
     def test_lag_sums_equal_the_diagonal_sums_of_the_output_matrix(self, m, eta):
         # bit for bit: the sweep's lag sums are the complex diagonal sums of the
-        # matrix that --validate checks; d >= 182 uses the F-order loss table
-        curve = _SineCurve(m, eta, binomial_table(m))
+        # matrix that --validate checks, both through C-order loss tables at every d
+        curve = _SineCurve(m, eta, _loss_table(m + 1, eta))
         mat = optimal_state_output(m, eta, 0.0, check=False).mat
         want = np.array([np.sum(np.diagonal(mat, k)) for k in range(m + 1)]).real
         got = np.array([curve.trace, *curve.lag_sums])
@@ -208,7 +209,7 @@ class TestRowMachinery:
 
     def test_mm_row_matches_pointwise_error(self):
         spec, eta, grid = MmStateSpec(8, 2), 0.8, 120
-        best, phi_star = _mm_row(spec, eta, binomial_table(spec.m))
+        best, phi_star = _mm_row(spec, eta, _loss_table(spec.m + 1, eta))
         period = TWO_PI / spec.delta
 
         def err(phi):
@@ -236,7 +237,7 @@ class TestRowMachinery:
         # for the last bits where the curve is flat to rounding (eta near 1:
         # up to 2 ulps seen over m <= 60)
         spec = MmStateSpec(m, int(frac * m))
-        best, phi_star = _mm_row(spec, eta, binomial_table(spec.m))
+        best, phi_star = _mm_row(spec, eta, _loss_table(spec.m + 1, eta))
         assert phi_star == math.pi / (2 * spec.delta)
         terms = mm_error_terms(spec, eta)
         err = lambda phi: mm_phase_error_closed(terms, phi)
@@ -268,13 +269,13 @@ class TestFoldedArgmin:
         assert public_rms(m, eta, phi + TWO_PI / (m + 1)) == pytest.approx(here, rel=1e-12)
         assert public_rms(m, eta, -phi) == pytest.approx(here, rel=1e-12)
         # the fast route folds phi onto [0, pi/(m+1)] before it evaluates the series
-        rms = _SineCurve(m, eta, binomial_table(m)).rms(phi)
+        rms = _SineCurve(m, eta, _loss_table(m + 1, eta)).rms(phi)
         assert rms == pytest.approx(here, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("eta", [0.7, 0.9, 1.0])
     @pytest.mark.parametrize("m", [181, 300])
     def test_rms_is_accurate_at_large_m(self, m, eta):
-        curve = _SineCurve(m, eta, binomial_table(m))
+        curve = _SineCurve(m, eta, _loss_table(m + 1, eta))
         for phi in (0.0, 0.4 * math.pi / (m + 1), -2.0, 7.0):
             assert curve.rms(phi) == pytest.approx(public_rms(m, eta, phi), rel=2e-11, abs=0.0), phi
 
@@ -283,41 +284,41 @@ class TestFoldedArgmin:
     def test_slope_is_derivative_of_rms_squared(self, m, eta, frac):
         phi, h = frac * math.pi / (m + 1), 1e-5
         fd = (public_rms(m, eta, phi + h) ** 2 - public_rms(m, eta, phi - h) ** 2) / (2 * h)
-        got = _SineCurve(m, eta, binomial_table(m)).rms2_slope([phi])[0]
+        got = _SineCurve(m, eta, _loss_table(m + 1, eta)).rms2_slope([phi])[0]
         assert got == pytest.approx(fd, abs=1e-8)
 
     @settings(max_examples=25, deadline=None)
     @given(half_m=st.integers(1, 30), eta=st.floats(0.05, 1.0))
     def test_even_m_reports_the_lattice_point(self, half_m, eta):
-        assert _optimal_fast_row(2 * half_m, eta, 8, binomial_table(2 * half_m))[1] == 0.0
+        assert _optimal_fast_row(2 * half_m, eta, 8, _loss_table(2 * half_m + 1, eta))[1] == 0.0
 
     @pytest.mark.parametrize("m, eta", [(1, 0.9), (5, 0.9), (13, 0.9)])
     def test_odd_m_minimiser_is_a_sign_change_of_the_slope(self, m, eta):
-        phi_star = _optimal_fast_row(m, eta, 8, binomial_table(m))[1]
+        phi_star = _optimal_fast_row(m, eta, 8, _loss_table(m + 1, eta))[1]
         assert 0.0 < phi_star <= math.pi / (m + 1)
-        curve = _SineCurve(m, eta, binomial_table(m))
+        curve = _SineCurve(m, eta, _loss_table(m + 1, eta))
         slope = curve.rms2_slope([phi_star * (1 - 1e-6), phi_star * (1 + 1e-6)])
         assert slope[0] < 0.0 < slope[1]
 
     def test_odd_m_minimiser_can_be_the_half_cell_point(self):
         # at strong loss the curve falls across the whole half-cell
-        assert _optimal_fast_row(3, 0.3, 8, binomial_table(3))[1] == math.pi / 4
+        assert _optimal_fast_row(3, 0.3, 8, _loss_table(4, 0.3))[1] == math.pi / 4
 
     def test_lossless_odd_m_has_no_kink_to_fall_off(self):
         # at eta = 1 the outcome at distance pi has probability zero
-        assert _optimal_fast_row(5, 1.0, 8, binomial_table(5))[1] == 0.0
+        assert _optimal_fast_row(5, 1.0, 8, _loss_table(6, 1.0))[1] == 0.0
 
     def test_odd_m_sweep_row_reports_the_fast_row_minimiser(self, tmp_path):
         cfg = small_cfg(tmp_path, n_range=(1.5, 6.5, 1.0), phi_grid_points=16)
         row = run_sweep(cfg).rows[2]  # n = 3.5, m = 7
-        assert row.argmin_phi == _optimal_fast_row(7, 0.9, 16, binomial_table(7))[1]
+        assert row.argmin_phi == _optimal_fast_row(7, 0.9, 16, _loss_table(8, 0.9))[1]
         assert 0.0 < row.argmin_phi < math.pi / 8
 
     @pytest.mark.parametrize("spec", [MmStateSpec(8, 2), MmStateSpec(9, 4), MmStateSpec(6, 0)])
     @pytest.mark.parametrize("eta", [0.6, 0.95, 1.0])
     def test_mm_reports_quarter_period_off_the_grid(self, spec, eta):
         # a 90-point grid misses delta*phi = pi/2; the reported phase does not
-        best, phi_star = _mm_row(spec, eta, binomial_table(spec.m))
+        best, phi_star = _mm_row(spec, eta, _loss_table(spec.m + 1, eta))
         assert phi_star == math.pi / (2 * spec.delta)
 
         def err(phi):
@@ -342,9 +343,9 @@ class TestRunSweep:
         compute_row = sweep_mod._compute_row
         calls = []
 
-        def recording_row(cfg, value, binom):
+        def recording_row(cfg, value, table_for):
             calls.append((threading.get_ident(), value))
-            return compute_row(cfg, value, binom)
+            return compute_row(cfg, value, table_for)
 
         monkeypatch.setattr(sweep_mod, "_compute_row", recording_row)
         monkeypatch.delenv("INTERF_THREADS", raising=False)
@@ -359,19 +360,25 @@ class TestRunSweep:
             assert out.read_bytes() == (tmp_path / "unset.csv").read_bytes()
 
     def test_work_counts_do_not_grow_with_the_rows(self, tmp_path, monkeypatch):
-        # the binomial table does not depend on eta, so a sweep builds one for its
-        # largest top index, on either axis and whatever its row count; with
-        # --validate the gate adds one table of its own, one stacked Kraus round
-        # trip per (m, eta) and one loss channel per (m, eta) for both arms, with
-        # its table, on every run, since nothing is cached; noon rows use no
-        # table, so a noon sweep builds none
-        tables, stacks, channels = [], [], []
+        # a loss table depends on eta alone, so a sweep over n builds one for its
+        # largest top index (and the binomial table inside it) whatever its row
+        # count, and a sweep over eta one per row from one binomial table; with
+        # --validate the gate adds one binomial table, one loss table per eta,
+        # one stacked Kraus round trip per (m, eta) and one loss channel per
+        # (m, eta) for both arms, with its binomial table, on every run, since
+        # nothing is cached; noon rows use no table, so a noon sweep builds none
+        tables, loss_tables, stacks, channels = [], [], [], []
         kraus_round_trip = protocol_mod._kraus_round_trip
         loss_channel = protocol_mod.loss_channel
+        loss_table = engine_mod._loss_table
 
         def counting_table(nmax):
             tables.append(nmax)
             return binomial_table(nmax)
+
+        def counting_loss_table(d, eta, binom=None):
+            loss_tables.append((d, eta))
+            return loss_table(d, eta, binom)
 
         def counting_round_trip(*args):
             stacks.append(args[0].shape)
@@ -383,25 +390,32 @@ class TestRunSweep:
 
         for mod in (engine_mod, fock_mod, protocol_mod, sweep_mod):
             monkeypatch.setattr(mod, "binomial_table", counting_table)
+        for mod in (engine_mod, protocol_mod, sweep_mod):
+            monkeypatch.setattr(mod, "_loss_table", counting_loss_table)
         monkeypatch.setattr(protocol_mod, "_kraus_round_trip", counting_round_trip)
         monkeypatch.setattr(protocol_mod, "loss_channel", counting_channel)
-        for kw, top in [
-            (dict(n_range=(2.0, 2.0, 1.0)), 4),
-            (dict(n_range=(2.0, 40.0, 1.0)), 80),
-            (dict(state_family="mm", n_range=(5.0, 60.0, 1.0)), 117),
-            (dict(sweep_axis="eta", fixed_n=8.0, eta_range=(0.5, 1.0, 0.05)), 16),
-            (dict(state_family="noon", n_range=(2.0, 400.0, 1.0)), None),
+        etas = [0.5 + 0.05 * k for k in range(11)]
+        for kw, top, want_loss_tables in [
+            (dict(n_range=(2.0, 2.0, 1.0)), 4, [(5, 0.9)]),
+            (dict(n_range=(2.0, 40.0, 1.0)), 80, [(81, 0.9)]),
+            (dict(state_family="mm", n_range=(5.0, 60.0, 1.0)), 117, [(118, 0.9)]),
+            (dict(sweep_axis="eta", fixed_n=8.0, eta_range=(0.5, 1.0, 0.05)), 16,
+             [(17, eta) for eta in etas]),
+            (dict(state_family="noon", n_range=(2.0, 400.0, 1.0)), None, []),
         ]:
             tables.clear()
+            loss_tables.clear()
             run_sweep(small_cfg(tmp_path, **kw))
             assert tables == ([] if top is None else [top])
+            assert loss_tables == want_loss_tables
         assert stacks == channels == []
         for _ in range(2):
-            for calls in (tables, stacks, channels):
+            for calls in (tables, loss_tables, stacks, channels):
                 calls.clear()
             run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 30.0, 1.0),
                                 validate=True))
             assert tables == [8] + [m for m in range(1, 9) for _ in range(3)] + [57]
+            assert loss_tables == [(9, 0.5), (9, 0.9), (9, 1.0), (58, 0.9)]
             assert len(stacks) == 24
             assert channels == [(eta, m + 1) for m in range(1, 9) for eta in (0.5, 0.9, 1.0)]
 
