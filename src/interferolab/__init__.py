@@ -12,15 +12,18 @@ and lossy-NOON baselines.
 
 import importlib
 
-_EXPORTS = {  # home module -> the public names it holds
+_EXPORTS = {  # home module -> the public names it defines
+    "engine": (
+        "Baselines", "MmErrorTerms", "MmStateSpec", "baselines", "mm_phase_error_closed",
+        "noon_phase_error",
+    ),
     "fock": (
         "DensityMatrix", "FockVector", "KrausChannel", "apply_channel", "apply_phase",
         "expectation", "loss_channel", "permutation_unitary",
     ),
     "states": (
-        "MmStateSpec", "TwoModeFockVector", "mm_state", "no_state", "noon_state",
-        "optimal_phase_state", "pegg_barnett_vector", "two_mode_loss_channel",
-        "two_mode_phase",
+        "TwoModeFockVector", "mm_state", "no_state", "noon_state", "optimal_phase_state",
+        "pegg_barnett_vector", "two_mode_loss_channel", "two_mode_phase",
     ),
     "protocol": (
         "RoundTripConfig", "ValidationReport", "mm_output_coefficients",
@@ -28,11 +31,10 @@ _EXPORTS = {  # home module -> the public names it holds
         "validate_closed_forms",
     ),
     "estimation": (
-        "Baselines", "MmErrorTerms", "OutcomeDistribution", "baselines",
-        "circular_distance", "circular_rms", "holevo_variance", "mm_error_terms",
-        "mm_observable", "mm_phase_error", "mm_phase_error_closed", "noon_observable",
-        "noon_phase_error", "noon_phase_error_brute", "optimal_outcome_distribution",
-        "phase_error_summary", "povm_distribution",
+        "OutcomeDistribution", "circular_distance", "circular_rms", "holevo_variance",
+        "mm_error_terms", "mm_observable", "mm_phase_error", "noon_observable",
+        "noon_phase_error_brute", "optimal_outcome_distribution", "phase_error_summary",
+        "povm_distribution",
     ),
     "sweep": (
         "CSV_HEADER", "CurvePoint", "SweepConfig", "SweepSummary", "UsageError",

@@ -7,10 +7,9 @@ amplitudes and their square, built from the binomial table once per eta
 and read by every row through its top-left block), and the figures read
 off its lags: the Holevo dispersion, the propagated error of the
 two-component observable and the shot-noise, Heisenberg and lossy-NOON
-baselines.  They live here so that a sweep loads only this module; the
-Fock-space containers, the Kraus reference and the validation gate in
-``fock``, ``states``, ``protocol`` and ``estimation`` import these names
-from here and re-export them.
+baselines.  They live here, and only here, so that a sweep loads only
+this module; ``fock``, ``states``, ``protocol`` and ``estimation`` import
+from it the names their own code uses.
 """
 
 from __future__ import annotations
@@ -89,12 +88,14 @@ def _check_rows(d: int) -> None:
         raise ValueError(f"loss amplitudes are non-finite: binomials of {_BINOM_OVERFLOW} overflow")
 
 
-def _loss_amplitudes(d: int, eta: float, binom=None) -> np.ndarray:
-    """amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the amplitude of keeping a of
-    c photons, in C order, C from the top-left block of binom (a binomial_table of
-    at least d rows; None builds one).  (1-eta) is raised to each loss count once,
-    and its powers are read through a Toeplitz view, so the table is the only
-    d x d array built."""
+def _loss_table(d: int, eta: float, binom=None) -> tuple:
+    """The loss table of eta: the pair (amp, W_0), amp[a, c] = sqrt(C(c, a) eta^a
+    (1-eta)^(c-a)), the amplitude of keeping a of c photons, and W_0 its square,
+    both C order with d rows, C from the top-left block of binom (a binomial_table
+    of at least d rows; None builds one).  (1-eta) is raised to each loss count
+    once, and its powers are read through a Toeplitz view, so amp and W_0 are the
+    only d x d arrays built.  A round trip of any size up to d reads their
+    top-left blocks, which equal the smaller table's bit for bit."""
     _check_rows(d)
     binom = (binomial_table(d - 1) if binom is None else binom)[:d, :d]
     n = np.arange(d)
@@ -102,14 +103,7 @@ def _loss_amplitudes(d: int, eta: float, binom=None) -> np.ndarray:
     # row a of the view is (1-eta)^(c-a) for c >= a and 0 below, where C(c, a) is 0
     lost = np.concatenate((np.zeros(d - 1), (1.0 - eta) ** n))
     amp *= np.lib.stride_tricks.sliding_window_view(lost, d)[::-1]
-    return np.sqrt(amp, out=amp)
-
-
-def _loss_table(d: int, eta: float, binom=None) -> tuple:
-    """The loss table of eta: the pair (amp, W_0) of ``_loss_amplitudes`` and its
-    square, both C order with d rows.  A round trip of any size up to d reads
-    their top-left blocks, which equal the smaller table's bit for bit."""
-    amp = _loss_amplitudes(d, eta, binom)
+    np.sqrt(amp, out=amp)
     return amp, np.square(amp)
 
 

@@ -4,11 +4,11 @@ Covers the discrete Pegg-Barnett outcome distribution and its circular
 RMS, the Holevo variance of the continuous phase distribution, the
 two-component hopping observable with error propagation (its sums read
 off the round trip's lags, the phase given per call), the reference
-phase scanner, and the shot-noise / Heisenberg / lossy-NOON references.
-The closed forms a sweep row reads (the Holevo dispersion of a coherence
-sum, the two-component error terms, the baselines) live in ``engine`` and
-are re-exported here.  The NOON brute force builds one loss channel per
-call and applies it to each arm's indices in turn.
+phase scanner, and the lossy-NOON brute force.  The closed forms a sweep
+row reads (the Holevo dispersion of a coherence sum, the two-component
+error terms, the shot-noise / Heisenberg / lossy-NOON baselines) live in
+``engine``.  The NOON brute force builds one loss channel per call and
+applies it to each arm's indices in turn.
 """
 
 from __future__ import annotations
@@ -19,19 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (  # noqa: F401  (the engine's figures, re-exported with the references)
-    Baselines,
+from .engine import (
     MmErrorTerms,
+    MmStateSpec,
     _holevo_dispersion,
     _mm_error_terms,
     _propagated_error,
-    baselines,
-    mm_phase_error_closed,
-    noon_phase_error,
+    baselines,  # unused: bench/layers.py traces it here and bench/verify.py imports it from here
 )
 from .fock import DensityMatrix, expectation, loss_channel
 from .protocol import mm_output_coefficients, optimal_state_output
-from .states import MmStateSpec, noon_state, two_mode_phase
+from .states import noon_state, two_mode_phase
 
 PROB_SUM_TOL = 1e-10
 PROB_NEG_TOL = -1e-12

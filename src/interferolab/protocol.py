@@ -7,7 +7,7 @@ the reference arm (phase theta, loss eta2).  ``_kraus_round_trip`` plays
 this out with explicit Kraus sums on a stack of density matrices, given the
 two arms' Kraus stacks, which its callers build where they use them; its
 one-matrix case, ``roundtrip_oracle``, is the ground truth here.  The
-production engine, ``engine._round_trip`` (re-exported here), returns only
+production engine, ``engine._round_trip``, returns only
 the output's lag diagonals (n - n' = k) that the input occupies, as
 {k: lag}, O(d) numbers each: by a loop over the lags for an input on few
 lags, and for a larger one by products of 64 lags at a time with the
@@ -27,16 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (  # noqa: F401  (the loop's names: tests reach them through this module)
-    _LOOP_LOW_LAGS,
-    _LOOP_MAX_LAGS,
+from .engine import (
     MmStateSpec,
     _check_eta,
-    _lag_round_trip,
-    _loss_amplitudes,
     _loss_table,
     _mm_amplitudes,
-    _occupied_lags,
     _round_trip,
     _sine_amplitudes,
     binomial_table,

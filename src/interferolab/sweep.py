@@ -10,6 +10,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -107,8 +108,9 @@ class SweepConfig:
         return int(math.floor((hi - lo) / step + 1e-9)) + 1
 
     def values(self) -> list:
-        lo, _, step = self.n_range if self.sweep_axis == "n" else self.eta_range
-        return [lo + k * step for k in range(self._row_count())]
+        # _row_count admits a last step that overshoots max by rounding: clamp it
+        lo, hi, step = self.n_range if self.sweep_axis == "n" else self.eta_range
+        return [min(lo + k * step, hi) for k in range(self._row_count())]
 
     def _top_index(self, n: float) -> int:
         """Largest Fock index of the input for mean photon number n."""
@@ -129,7 +131,7 @@ class SweepConfig:
         if fam == "mm" and m <= self.mm_m_prime:
             raise UsageError(
                 f"n={n!r} with m_prime={self.mm_m_prime} gives top index {m} <= m_prime; "
-                f"raise n-min above {self.mm_m_prime}"
+                f"raise {'n-min' if self.sweep_axis == 'n' else 'n'} above {self.mm_m_prime}"
             )
         return m
 
@@ -445,17 +447,13 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
             )
 
     # a loss table depends on eta alone, and its top-left block is the smaller
-    # table bit for bit: a sweep over n builds one for its largest row (or up to
-    # the binomial limit, past which a row fails in its own round trip), and a
-    # sweep over eta one per row from one binomial table; noon rows read none
-    if cfg.state_family == "noon":
-        table_for = None
-    elif cfg.sweep_axis == "n":
-        shared = _loss_table(min(top + 1, _BINOM_OVERFLOW), cfg.fixed_eta)
-        table_for = lambda eta: shared  # noqa: E731
-    else:
-        binom = binomial_table(min(top, _BINOM_OVERFLOW - 1))
-        table_for = lambda eta: _loss_table(top + 1, eta, binom)  # noqa: E731
+    # table bit for bit: each is built on first use for the largest row (or up to
+    # the binomial limit, past which a row fails in its own round trip), so a
+    # sweep over n builds one, a sweep over eta one per row from one binomial
+    # table, and a noon sweep, whose rows read none, builds neither
+    d = min(top + 1, _BINOM_OVERFLOW)
+    binom = functools.cache(lambda: binomial_table(d - 1))
+    table_for = functools.lru_cache(maxsize=1)(lambda eta: _loss_table(d, eta, binom()))
     rows = [_compute_row(cfg, v, table_for) for v in values]
     rows, unmatched = _with_external(rows, external)
 

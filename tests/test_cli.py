@@ -42,6 +42,25 @@ class TestExitCodes:
         assert code == 1
         assert "m_prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n-min", "2", "--n-max", "3"], "n-min"),
+        (["--axis", "eta", "--n", "2"], "n"),
+    ], ids=["n-axis", "eta-axis"])
+    def test_mm_top_index_error_names_the_flag_of_the_axis(self, argv, flag, tmp_path, capsys):
+        code = run(["--family", "mm", "--m-prime", "3", *argv, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"raise {flag} above 3")
+
+    def test_eta_range_overshooting_max_by_rounding_ends_at_max(self, tmp_path):
+        # 0.09 + 13 * 0.07 is 1.0000000000000002, within the row count's slack of max
+        out = tmp_path / "eta.csv"
+        code = run(["--axis", "eta", "--eta-min", "0.09", "--eta-max", "1", "--eta-step", "0.07",
+                    "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 14
+        assert lines[-1].split(",")[0] == "1"
+
     def test_validation_failure_exit(self, tmp_path, capsys, monkeypatch):
         import interferolab.protocol as protocol_mod
         from interferolab.protocol import ValidationCell, ValidationReport

@@ -1,0 +1,76 @@
+"""Where the package's names live: each in one home module, imported only
+where it is used (no linter runs on the sources, so these checks stand in)."""
+
+import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import interferolab
+
+SRC = Path(interferolab.__file__).resolve().parent
+
+# (module, name) pairs that import a name from engine without using it, with the reason
+UNUSED_ENGINE_IMPORTS = {
+    ("estimation", "baselines"):
+        "bench/layers.py traces it there and bench/verify.py imports it from there",
+}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_name_imported_from_engine_is_used(module):
+    tree = _tree(module)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "engine"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    allowed = {name for mod, name in UNUSED_ENGINE_IMPORTS if mod == module}
+    assert imported - used == allowed
+
+
+@pytest.mark.parametrize("home", sorted(interferolab._EXPORTS))
+def test_every_public_name_is_defined_in_its_home(home):
+    mod = importlib.import_module(f"interferolab.{home}")
+    assigned = {
+        target.id
+        for node in _tree(home).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    for name in interferolab._EXPORTS[home]:
+        obj = getattr(mod, name)
+        assert getattr(interferolab, name) is obj
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == f"interferolab.{home}", name
+        else:  # a constant: assigned at the top level of its home
+            assert name in assigned, name
+
+
+def test_engine_names_resolve_without_loading_other_modules(tmp_path):
+    # the package loads a name's home on first use, and the engine's public
+    # names have the engine as their home, not a module that imports them
+    probe = (
+        "import sys\n"
+        "import interferolab\n"
+        "interferolab.MmStateSpec, interferolab.baselines\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('interferolab.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["interferolab.engine"]

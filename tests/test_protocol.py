@@ -29,17 +29,18 @@ from interferolab import (
     roundtrip_step,
     validate_closed_forms,
 )
-from interferolab.fock import _check_density, binomial_table
-from interferolab.protocol import (
-    _kraus_round_trip,
+from interferolab.engine import (
+    _LOOP_LOW_LAGS,
+    _LOOP_MAX_LAGS,
     _lag_round_trip,
-    _loss_amplitudes,
     _loss_table,
+    _mm_amplitudes,
     _occupied_lags,
-    _output_matrix,
     _round_trip,
+    _sine_amplitudes,
 )
-from interferolab.states import _mm_amplitudes, _sine_amplitudes
+from interferolab.fock import _check_density, binomial_table
+from interferolab.protocol import _kraus_round_trip, _output_matrix
 
 
 class TestRoundTripConfig:
@@ -237,7 +238,7 @@ def largest_table():
 
 def _lag_weights(d: int, eta: float, k: int) -> np.ndarray:
     """W_k: loss at eta on the lag-k diagonal of a d x d matrix."""
-    amp = _loss_amplitudes(d, eta)
+    amp = _loss_table(d, eta)[0]
     return amp[: d - k, : d - k] * amp[k:, k:]
 
 
@@ -330,7 +331,7 @@ class TestLossMap:
         kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
         want = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
         for binom in (None, largest_table):
-            got = _loss_amplitudes(d, eta, binom)
+            got = _loss_table(d, eta, binom)[0]
             assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -345,24 +346,25 @@ class TestLossMap:
         assert amp.flags.c_contiguous and w0.flags.c_contiguous
         assert np.array_equal(w0, amp * amp)
 
-    def test_table_build_holds_one_d_by_d_array(self, largest_table):
-        # the table is the only d x d array its build allocates: 3.0 d^2 doubles
-        # at d = 1001 when the (1-eta) powers were gathered through an index table
+    def test_table_build_holds_only_the_two_arrays_it_returns(self, largest_table):
+        # amp and W_0 are the only d x d arrays the build allocates, 2.0 d^2
+        # doubles; gathering the (1-eta) powers through a d x d index table
+        # instead of the Toeplitz view takes the peak to 3.0 d^2
         d = 1001
         tracemalloc.start()
         try:
-            _loss_amplitudes(d, 0.9, largest_table)
+            _loss_table(d, 0.9, largest_table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * d * d * 8
+        assert peak <= 2.1 * d * d * 8
 
     def test_overflowing_binomials_raise(self, largest_table):
         # binomials of 1030 overflow double: the check comes before any table is
         # built, and names the first row that overflows whatever d is
         for d, binom in [(1031, None), (1031, largest_table), (10**9, None)]:
             with pytest.raises(ValueError, match="non-finite: binomials of 1030 overflow"):
-                _loss_amplitudes(d, 0.9, binom)
+                _loss_table(d, 0.9, binom)
 
 
 class TestBlockedRoute:
@@ -372,7 +374,7 @@ class TestBlockedRoute:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        m=st.integers(protocol_mod._LOOP_MAX_LAGS, 400),
+        m=st.integers(_LOOP_MAX_LAGS, 400),
         eta=st.floats(0.02, 1.0),
         seed=st.integers(0, 2**32 - 1),
         zero_frac=st.sampled_from([0.0, 0.3]),
@@ -392,7 +394,7 @@ class TestBlockedRoute:
         assume(amps.any())
         amps /= np.linalg.norm(amps)
         ks = _occupied_lags(amps)
-        assume(ks.size > protocol_mod._LOOP_MAX_LAGS)
+        assume(ks.size > _LOOP_MAX_LAGS)
         d = m + 1
         table = _loss_table(d, eta, largest_table)
         got = _round_trip(amps, eta, table)
@@ -401,7 +403,7 @@ class TestBlockedRoute:
         sums = []
         for k in map(int, ks):
             want = _lag_round_trip(amps, table, k)
-            if k < protocol_mod._LOOP_LOW_LAGS:
+            if k < _LOOP_LOW_LAGS:
                 assert np.array_equal(got[k], want)
             assert got[k].shape == want.shape
             assert np.max(np.abs(got[k] - want)) <= 1e-12 * np.max(np.abs(want)) + floor, k
@@ -448,7 +450,7 @@ class TestBlockedRoute:
         amp, w0 = _loss_table(101, 0.9)
         want = _round_trip(amps, 0.9, (amp, w0))
         got = _round_trip(amps, 0.9, (np.asfortranarray(amp), w0))
-        blocked = range(protocol_mod._LOOP_LOW_LAGS, 101)
+        blocked = range(_LOOP_LOW_LAGS, 101)
         assert all(np.array_equal(got[k], want[k]) for k in blocked)
 
     # cut from tables of every size up to the binomial limit: loop lags 0 and 1

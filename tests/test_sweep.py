@@ -88,6 +88,26 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="m_prime"):
             cfg.check()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        axis=st.sampled_from(["n", "eta"]),
+        lo=st.floats(1e-3, 1e3),
+        step=st.floats(1e-3, 1e2),
+        rows=st.integers(0, 2000),
+        slack=st.floats(-1e-9, 1e-9),
+    )
+    @example(axis="eta", lo=0.09, step=0.07, rows=13, slack=0.0)  # 0.09 + 13 * 0.07 > 1
+    @example(axis="n", lo=2.0, step=1.0, rows=28, slack=0.0)
+    def test_values_stay_in_the_range(self, axis, lo, step, rows, slack):
+        # the last step may overshoot max by rounding, or fall within the row
+        # count's 1e-9 slack of it; such a value is clamped to max, and no other moves
+        hi = max(lo, lo + rows * step * (1.0 + slack))
+        key = "n_range" if axis == "n" else "eta_range"
+        values = SweepConfig(sweep_axis=axis, **{key: (lo, hi, step)}).values()
+        assert values[0] == lo
+        assert all(lo <= v <= hi for v in values)
+        assert all(v == lo + k * step for k, v in enumerate(values) if v < hi)
+
     def test_rejects_bad_transmissivity(self, tmp_path):
         with pytest.raises(UsageError, match="transmissivity"):
             small_cfg(tmp_path, fixed_eta=1.2).check()
@@ -593,9 +613,10 @@ def test_off_grid_mm_error_is_the_reference_correctly_rounded(tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", None])
 def test_cli_reproduces_the_large_m_golden_csv(threads, tmp_path, monkeypatch):
-    # the large-n benchmark run at seed 0: the only rows with F-order loss
-    # tables (d >= 182); min_rms is reference-rounded, holevo is not. The
-    # bytes do not depend on the retired INTERF_THREADS variable
+    # the large-n benchmark run at seed 0 (m = 50 to 300): the rows from m = 100
+    # on run their lags from 2 on in blocks, and every row reads the top-left
+    # block of one C-order loss table of 301 rows; min_rms is reference-rounded,
+    # holevo is not. The bytes do not depend on the retired INTERF_THREADS variable
     if threads is None:
         monkeypatch.delenv("INTERF_THREADS", raising=False)
     else:
