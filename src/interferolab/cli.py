@@ -5,6 +5,8 @@ Every setting is one entry of ``KEYS``: its name is both the flag
 config-file entries, which override the ``SweepConfig`` defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 3 I/O error.  Rows run in ascending sweep order on the calling thread.
+This module and ``sweep`` use the standard library only, so ``--help``,
+usage errors and config checks load no numpy.
 """
 
 from __future__ import annotations

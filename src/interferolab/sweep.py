@@ -5,40 +5,22 @@ one input-state family and writes a row of error figures per value,
 together with the shot-noise, Heisenberg and lossy-NOON reference
 columns and an empty slot for externally supplied comparison data.
 Rows are pure functions of the configuration, so repeated runs emit
-byte-identical files.
+byte-identical files.  This module needs the standard library only: every
+row figure comes from ``engine``, which loads with numpy at the first row.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .engine import (
-    _BINOM_OVERFLOW,
-    MmStateSpec,
-    _holevo_dispersion,
-    _loss_table,
-    _mm_amplitudes,
-    _mm_error_terms,
-    _round_trip,
-    _sine_amplitudes,
-    baselines,
-    binomial_table,
-    mm_phase_error_closed,
-)
-
 if TYPE_CHECKING:
     from .protocol import ValidationReport
 
 FAMILIES = ("optimal", "mm", "no", "noon")
-
-TWO_PI = 2.0 * math.pi
 
 MAX_ROWS = 100_000  # far above any real sweep; a longer range is a mistyped step
 
@@ -192,184 +174,11 @@ class SweepSummary:
         return out
 
 
-SLOPE_SAMPLES = 64  # slope samples across the half-cell that bracket the minimiser
-PHASE_BLOCK_ELEMENTS = 64 * 301  # phases x lags per RMS evaluation; bounds the block's arrays
-
-
-class _SineCurve:
-    """The sine-state error curve, from the lag sums of the phi = 0 output.
-
-    The output at phase phi differs from the phi=0 output only by Fock
-    phases, so the whole outcome distribution is a short Fourier series
-    in phi + Phi_l whose coefficients c_k are the lag-k diagonal sums of
-    the phi=0 output.  Those sums are real, so the RMS is even in phi
-    and, with d = m+1 outcomes, 2*pi/d-periodic: its minimisers come as
-    +-phi* + 2*pi*l/d, and the half-cell [0, pi/d] holds one of them.
-    The RMS and its slope are both read on that half-cell from one
-    closed-form series in the c_k, so no outcome probability is formed.
-    """
-
-    def __init__(self, m: int, eta: float, table: tuple):
-        # summed as complex, like np.sum over a complex diagonal: a real sum pairs
-        # the terms differently, and min_rms at N = 28 of the default sweep moves
-        diagonals = _round_trip(_sine_amplitudes(m), eta, table).values()
-        sums = [lag.sum(dtype=complex).real for lag in diagonals]
-        self.d = d = m + 1
-        self.lags = lags = np.arange(1, d)
-        self.trace, self.lag_sums = float(sums[0]), np.array(sums[1:])
-
-        # On the half-cell no outcome crosses distance pi, so outcome l deviates
-        # by e_l - phi with e_l = 2*pi*s/d, s = -l wrapped into (-d/2, d/2].  Then
-        #   rms^2 = T (<e^2> - 2 phi <e> + phi^2) + (2/d) Re sum_k c_k e^{ik phi} (B_k - 2 phi A_k)
-        # with A_k, B_k = sum_l (e_l, e_l^2) e^{2 pi i k l/d}, summed in closed form
-        # so that the RMS and its slope keep their accuracy where rms^2 is flattest.
-        sin = np.sin(np.pi * lags / d)
-        cot = np.cos(np.pi * lags / d) / sin
-        sign = 1 - 2 * (lags % 2)
-        if d % 2:
-            first, second = 1j / sin, cot / sin
-        else:
-            first, second = 1.0 + 1j * cot, 1.0 / sin**2
-        a_k = np.pi * sign * first
-        b_k = 2.0 * np.pi**2 / d * sign * second
-        # the value series' coefficients (B_k, -2 A_k) as reals: rows 2k and 2k+1
-        # hold their Re and -Im, so (c_k cos(k phi), c_k sin(k phi)) against them
-        # is Re(c_k e^{ik phi} (B_k, -2 A_k))
-        value = np.stack([b_k, -2.0 * a_k], axis=1)
-        self.value_pairs = np.stack([value.real, -value.imag], axis=1).reshape(-1, 2)
-        self.slope_coeffs = np.stack([1j * lags * b_k - 2.0 * a_k, -2j * lags * a_k], axis=1)
-        self.mean_offset = 0.0 if d % 2 else np.pi / d  # <e>: the outcome at +pi
-        # <e^2>, from the mean of s^2: (d^2 - 1)/12 for odd d, (d^2 + 2)/12 for even d
-        self.mean_square_offset = np.pi**2 * (d * d + (-1 if d % 2 else 2)) / (3 * d * d)
-
-    def _phased(self, phis: np.ndarray) -> np.ndarray:
-        """Lag sums of the output at each phase, c_k e^{ik phi}: shape phis.shape + (d-1,)."""
-        return self.lag_sums * np.exp(1j * phis[..., None] * self.lags)
-
-    def rms(self, phis) -> np.ndarray:
-        """Circular RMS of the outcome estimates at each phase in phis."""
-        cell = TWO_PI / self.d
-        phis = np.asarray(phis, dtype=float) % cell
-        phis = np.minimum(phis, cell - phis)  # folded onto the half-cell [0, pi/d]
-        # Re of the series in real arithmetic: cos and sin are bit for bit the parts
-        # of exp(i k phi), and each k's two products are summed next to each other,
-        # as in a complex product (two separate sums move printed min_rms digits)
-        angles = phis[..., None] * self.lags
-        pairs = self.lag_sums[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        series = pairs.reshape(*phis.shape, -1) @ self.value_pairs
-        return np.sqrt(
-            self.trace * (self.mean_square_offset - 2.0 * phis * self.mean_offset + phis**2)
-            + 2.0 / self.d * (series[..., 0] + phis * series[..., 1])
-        )
-
-    def rms2_slope(self, phis) -> np.ndarray:
-        """phi-derivative of rms**2 at phases in [0, pi/d], one-sided at the ends."""
-        phis = np.asarray(phis, dtype=float)
-        series = (self._phased(phis) @ self.slope_coeffs).real
-        return (
-            2.0 * self.trace * (phis - self.mean_offset)
-            + 2.0 / self.d * (series[:, 0] + phis * series[:, 1])
-        )
-
-    def folded_argmin(self) -> float:
-        """The minimiser of the RMS folded into [0, pi/d].
-
-        rms**2 is smooth on the open half-cell and stationary at its ends
-        by symmetry, except at phi = 0 for even d: there the outcome at
-        distance pi makes a kink, off which rms**2 falls with slope
-        -2*pi*p(pi) (no fall when that outcome is never seen, as at
-        eta = 1).  Comparing values is ill-conditioned on so flat a curve,
-        so the minimiser is located from the sign of the slope.  On every
-        curve examined (all m <= 40, spot checks up to m = 301) the slope
-        changes sign at most once on the half-cell, so the first of
-        SLOPE_SAMPLES samples where rms**2 rises brackets the minimiser,
-        and bisection on the sign narrows the bracket to adjacent floats.
-        A rise from phi = 0 on is the lattice point, reported as exactly 0.
-        """
-        d = self.d
-        half = math.pi / d
-        xs = half * (np.arange(SLOPE_SAMPLES) + 0.5) / SLOPE_SAMPLES
-        rising = self.rms2_slope(xs) > 0.0
-        if not rising.any():
-            return half
-        k = int(np.argmax(rising))
-        if k:
-            lo = float(xs[k - 1])
-        else:
-            # a fall off the kink counts only above the rounding bound of its sum
-            scale = 2.0 * self.trace * self.mean_offset
-            scale += 2.0 / d * float(np.abs(self.lag_sums * self.slope_coeffs[:, 0]).sum())
-            if self.rms2_slope([0.0])[0] >= -d * np.finfo(float).eps * scale:
-                return 0.0
-            lo = 0.0
-        hi = float(xs[k])
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if self.rms2_slope([mid])[0] > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-
-def _folded_grid(d: int, points: int) -> tuple:
-    """The distinct phases that the grid 2*pi*j/points (j < points) folds onto
-    in the half-cell [0, pi/d], and how many grid points fold onto each.
-
-    Point j sits at (2*pi/d) * r/points in its cell, r = j*d mod points, and
-    folds to (2*pi/d) * f/points with f = min(r, points - r).  With
-    g = gcd(d, points), r runs over the multiples of g, each g times, so f
-    runs over 0, g, ..., up to points/2: g points fold onto f = 0 and onto
-    f = points/2, and 2g onto every other f.
-    """
-    g = math.gcd(d, points)
-    f = np.arange(0, points // 2 + 1, g)
-    weights = np.full(f.size, 2.0 * g)
-    weights[0] = g
-    if 2 * f[-1] == points:
-        weights[-1] = g
-    return TWO_PI / d * f / points, weights
-
-
-def _optimal_fast_row(m: int, eta: float, grid_points: int, table: tuple):
-    """Error figures for the sine state from the lag sums of its phi = 0 output.
-
-    The reported phase is the minimiser folded into [0, pi/(m+1)] (see
-    ``_SineCurve.folded_argmin``); every minimiser is
-    +-argmin_phi + 2*pi*l/(m+1).  ``min_rms`` is the RMS there, not the
-    lowest scan sample, which rounding noise biases low; ``avg_rms`` is
-    the mean over ``grid_points`` equally spaced phases of one period,
-    summed over the distinct phases they fold onto in the half-cell, each
-    weighted by how many of them fold there (``_folded_grid``), and
-    evaluated in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
-    """
-    curve = _SineCurve(m, eta, table)
-    phases, weights = _folded_grid(curve.d, grid_points)
-    block = max(1, PHASE_BLOCK_ELEMENTS // curve.d)
-    avg = float(np.concatenate([
-        curve.rms(phases[i : i + block]) for i in range(0, phases.size, block)
-    ]) @ weights) / grid_points
-    phi_star = curve.folded_argmin()
-    holevo = _holevo_dispersion(abs(float(curve.lag_sums[0])))
-    return float(curve.rms(phi_star)), phi_star, avg, holevo
-
-
-def _mm_row(spec: MmStateSpec, eta: float, table: tuple):
-    """Least propagated error of the two-component state, and its phase.
-
-    The mean square MS and coherence C of the observable do not depend on
-    phi, and the error sqrt(MS - C**2 + (C sin)**2) / (delta |C sin|), with
-    sin = sin(delta*phi), falls as |sin| grows: it is least, sqrt(MS)/(delta |C|),
-    at pi/(2*delta), the minimiser folded into [0, pi/(2*delta)] (and reported
-    by convention where the curve is flat, as at eta = 1).
-    """
-    phi_star = math.pi / (2 * spec.delta)
-    terms = _mm_error_terms(spec, _round_trip(_mm_amplitudes(spec), eta, table))
-    return mm_phase_error_closed(terms, phi_star), phi_star
-
-
 def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
     """The row at sweep value ``value``; ``table_for(eta)`` gives the loss table
     of its transmissivity, read only by the families that run a round trip."""
+    from .engine import MmStateSpec, _check_rows, _mm_row, _optimal_fast_row, baselines
+
     if cfg.sweep_axis == "n":
         n, eta = value, cfg.fixed_eta
     else:
@@ -377,6 +186,8 @@ def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
     m = cfg._top_index(n)
     where = f"sweep={format_float(value)} (top index {m})"
     try:
+        if cfg.state_family != "noon":  # a round trip past the binomial limit fails
+            _check_rows(m + 1)  # before its amplitudes or loss table are built
         base = baselines(n, eta)
         columns = {}
         if cfg.state_family == "optimal":
@@ -446,14 +257,9 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
                 f"not below tolerance {report.tolerance:.1e} (report: {txt})"
             )
 
-    # a loss table depends on eta alone, and its top-left block is the smaller
-    # table bit for bit: each is built on first use for the largest row (or up to
-    # the binomial limit, past which a row fails in its own round trip), so a
-    # sweep over n builds one, a sweep over eta one per row from one binomial
-    # table, and a noon sweep, whose rows read none, builds neither
-    d = min(top + 1, _BINOM_OVERFLOW)
-    binom = functools.cache(lambda: binomial_table(d - 1))
-    table_for = functools.lru_cache(maxsize=1)(lambda eta: _loss_table(d, eta, binom()))
+    from .engine import _loss_tables  # numpy and the row figures load here
+
+    table_for = _loss_tables(top)  # a noon sweep's rows read none, so it builds none
     rows = [_compute_row(cfg, v, table_for) for v in values]
     rows, unmatched = _with_external(rows, external)
 

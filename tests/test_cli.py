@@ -276,21 +276,28 @@ class TestModuleEntryPoint:
         )
 
     def test_import_loads_only_numpy_and_stdlib(self, tmp_path):
-        # every CLI run pays for what the import loads (setup_s in bench/), and a
-        # sweep runs on the engine alone: the Fock containers, the states and the
-        # Kraus oracle with its gate load only for --validate, the references never
+        # every CLI run pays for what the import loads (setup_s in bench/), and so
+        # does every --help, usage error and config check, which load no numpy: the
+        # engine loads at the first row, and a sweep runs on it alone; the Fock
+        # containers, the states and the Kraus oracle with its gate load only for
+        # --validate, the references never
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import interferolab.cli\n"
             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
             "def package():\n"
-            "    print(*sorted(m for m in sys.modules if m.startswith('interferolab.')))\n"
+            "    print('numpy' in sys.modules,\n"
+            "          *sorted(m for m in sys.modules if m.startswith('interferolab.')))\n"
             "package()\n"
-            "for args in (['--n-min', '2', '--n-max', '4'],\n"
-            "             ['--family', 'mm', '--n-min', '5', '--n-max', '7'],\n"
-            "             ['--family', 'mm', '--n-min', '5', '--n-max', '7', '--validate']):\n"
-            "    assert interferolab.cli.main([*args, '--phi-grid', '8', '--out', 'x.csv']) == 0\n"
+            "open('bad.cfg', 'w').write('n-min=two\\n')\n"
+            "for args, code in ((['--family', 'squeezed'], 1),\n"
+            "                   (['--config', 'bad.cfg'], 1),\n"
+            "                   (['--n-min', '2', '--n-max', '4'], 0),\n"
+            "                   (['--family', 'mm', '--n-min', '5', '--n-max', '7'], 0),\n"
+            "                   (['--family', 'mm', '--n-min', '5', '--n-max', '7',\n"
+            "                     '--validate'], 0)):\n"
+            "    assert interferolab.cli.main([*args, '--phi-grid', '8', '--out', 'x.csv']) == code\n"
             "    package()\n"
         )
         env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
@@ -302,12 +309,20 @@ class TestModuleEntryPoint:
         lines = proc.stdout.splitlines()
         loaded = set(lines[0].split())
         assert "interferolab" in loaded
+        assert "numpy" not in loaded
         assert loaded - {"interferolab", "numpy"} <= set(sys.stdlib_module_names)
-        package = [set(line.split()) for line in lines if line.startswith("interferolab.")]
-        engine_only = {"interferolab.cli", "interferolab.sweep", "interferolab.engine"}
-        assert package[:3] == [engine_only] * 3  # after the import, an optimal and an mm sweep
-        assert "interferolab.protocol" in package[3]  # --validate
-        assert "interferolab.estimation" not in package[3]
+        states = [line.split() for line in lines if line.startswith(("True", "False"))]
+        numpy_loaded = [state[0] == "True" for state in states]
+        package = [set(state[1:]) for state in states]
+        front = {"interferolab.cli", "interferolab.sweep"}
+        engine_only = front | {"interferolab.engine"}
+        # after the import, a usage error and a bad config-file line
+        assert package[:3] == [front] * 3
+        assert numpy_loaded == [False] * 3 + [True] * 3
+        assert package[3:5] == [engine_only] * 2  # after an optimal and an mm sweep
+        assert "interferolab.protocol" in package[5]  # --validate
+        assert "interferolab.estimation" not in package[5]
+        assert package[5] == engine_only | {"interferolab.protocol", "interferolab.fock"}
         assert "concurrent" not in loaded  # rows run on the calling thread
 
     def test_package_resolves_every_public_name(self):
@@ -342,18 +357,25 @@ class TestModuleEntryPoint:
 
     # binomials of 1030 and above overflow double, so a row with top index 40000
     # must fail; it does so before building anything d x d (a 40001 x 40001
-    # table would need 12.8 GB, far above the child's 1.5 GiB limit), and the
+    # table would need 12.8 GB, far above the child's 1.5 GiB limit) or even its
+    # amplitudes (at top index 2e8 they alone would need 1.5 GiB), and the
     # row's error names the first binomial row that overflows
-    @pytest.mark.parametrize("family", ["optimal", "mm"])
-    def test_row_past_the_binomial_limit_fails_before_building_it(self, family, tmp_path):
+    @pytest.mark.parametrize("family, n, printed, top", [
+        pytest.param("optimal", "20000", "20000", 40000, id="optimal"),
+        pytest.param("mm", "20000", "20000", 40000, id="mm"),
+        pytest.param("optimal", "1e8", "100000000", 200000000, id="optimal-1e8"),
+        pytest.param("mm", "1e8", "100000000", 200000000, id="mm-1e8"),
+    ])
+    def test_row_past_the_binomial_limit_fails_before_building_it(self, family, n, printed,
+                                                                  top, tmp_path):
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
         proc = self.run_module(["--family", family, "--m-prime", "0", "--eta", "1.0",
-                                "--n-min", "20000", "--n-max", "20000", "--out", "x.csv"],
+                                "--n-min", n, "--n-max", n, "--out", "x.csv"],
                                tmp_path, preexec_fn=limit_memory)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("validation failure: sweep=20000 (top index 40000): ")
+        assert proc.stderr.startswith(f"validation failure: sweep={printed} (top index {top}): ")
         assert "binomials of 1030 overflow" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 

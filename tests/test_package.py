@@ -15,8 +15,8 @@ import interferolab
 
 SRC = Path(interferolab.__file__).resolve().parent
 
-# (module, name) pairs that import a name from engine without using it, with the reason
-UNUSED_ENGINE_IMPORTS = {
+# (module, name) pairs that import a name without using it, with the reason
+UNUSED_IMPORTS = {
     ("estimation", "baselines"):
         "bench/layers.py traces it there and bench/verify.py imports it from there",
 }
@@ -28,15 +28,18 @@ def _tree(module: str) -> ast.Module:
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_every_name_imported_from_engine_is_used(module):
+    # and every other imported name: each import and from-import, at module and
+    # function level, so that a moved definition leaves no stale import behind
     tree = _tree(module)
     imported = {
-        alias.asname or alias.name
+        alias.asname or alias.name.partition(".")[0]
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "engine"
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    allowed = {name for mod, name in UNUSED_ENGINE_IMPORTS if mod == module}
+    allowed = {name for mod, name in UNUSED_IMPORTS if mod == module}
     assert imported - used == allowed
 
 

@@ -36,17 +36,9 @@ from interferolab import (
     run_sweep,
 )
 from interferolab.cli import main as cli_main
-from interferolab.engine import _loss_table
+from interferolab.engine import _folded_grid, _loss_table, _mm_row, _optimal_fast_row, _SineCurve
 from interferolab.fock import binomial_table
-from interferolab.sweep import (
-    FAMILIES,
-    CurvePoint,
-    _folded_grid,
-    _mm_row,
-    _optimal_fast_row,
-    _SineCurve,
-    format_float,
-)
+from interferolab.sweep import FAMILIES, CurvePoint, format_float
 
 TWO_PI = 2 * math.pi
 
@@ -159,7 +151,7 @@ class TestRowMachinery:
         # blocks hold PHASE_BLOCK_ELEMENTS // d phases: the 251 phases of d = 41 at
         # 500 points fill one default block of 469, or 6 blocks of 40 and one of 11
         want = _optimal_fast_row(40, 0.9, 500, _loss_table(41, 0.9))
-        monkeypatch.setattr(sweep_mod, "PHASE_BLOCK_ELEMENTS", 40 * 41)
+        monkeypatch.setattr(engine_mod, "PHASE_BLOCK_ELEMENTS", 40 * 41)
         got = _optimal_fast_row(40, 0.9, 500, _loss_table(41, 0.9))
         assert got[2] == pytest.approx(want[2], rel=1e-14)
         assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
@@ -267,7 +259,7 @@ class TestRowMachinery:
 
     def test_non_finite_mm_error_fails_the_run(self, tmp_path, monkeypatch):
         # no coherence left: the error is infinite at every phase
-        monkeypatch.setattr(sweep_mod, "_mm_error_terms", lambda spec, lags: MmErrorTerms(
+        monkeypatch.setattr(engine_mod, "_mm_error_terms", lambda spec, lags: MmErrorTerms(
             0.5, 0.0, spec.delta))
         with pytest.raises(ValidationFailure, match=r"sweep=5 \(top index 7\): mm_error is inf"):
             run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0)))
@@ -408,9 +400,9 @@ class TestRunSweep:
             channels.append((eta, dim))
             return loss_channel(eta, dim)
 
-        for mod in (engine_mod, fock_mod, protocol_mod, sweep_mod):
+        for mod in (engine_mod, fock_mod, protocol_mod):
             monkeypatch.setattr(mod, "binomial_table", counting_table)
-        for mod in (engine_mod, protocol_mod, sweep_mod):
+        for mod in (engine_mod, protocol_mod):
             monkeypatch.setattr(mod, "_loss_table", counting_loss_table)
         monkeypatch.setattr(protocol_mod, "_kraus_round_trip", counting_round_trip)
         monkeypatch.setattr(protocol_mod, "loss_channel", counting_channel)
@@ -499,6 +491,28 @@ class TestRunSweep:
         for row in summary.rows:
             assert row.min_rms is None and row.mm_error is None
             assert row.noon is not None
+
+    def test_noon_rows_past_the_binomial_limit_run(self, tmp_path):
+        # the binomial limit bounds the round trip, which noon rows do not run
+        cfg = small_cfg(tmp_path, state_family="noon", fixed_eta=1.0,
+                        n_range=(600.0, 602.0, 1.0))
+        summary = run_sweep(cfg)
+        assert [row.sweep for row in summary.rows] == [600.0, 601.0, 602.0]
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 4
+
+    def test_row_past_the_binomial_limit_builds_no_table(self, tmp_path, monkeypatch):
+        # the row fails on its top index before it asks for its loss table
+        tables = []
+        loss_table, table = engine_mod._loss_table, engine_mod.binomial_table
+        monkeypatch.setattr(engine_mod, "_loss_table",
+                            lambda *args: tables.append(args[:2]) or loss_table(*args))
+        monkeypatch.setattr(engine_mod, "binomial_table",
+                            lambda nmax: tables.append(nmax) or table(nmax))
+        with pytest.raises(ValidationFailure,
+                           match=r"sweep=515 \(top index 1030\): .*binomials of 1030 overflow"):
+            run_sweep(small_cfg(tmp_path, n_range=(515.0, 515.0, 1.0)))
+        assert tables == []
+        assert not (tmp_path / "out.csv").exists()
 
     def test_validation_gate_writes_reports(self, tmp_path):
         cfg = small_cfg(tmp_path, validate=True, n_range=(2.0, 3.0, 1.0))
