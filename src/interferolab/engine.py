@@ -433,18 +433,12 @@ def _folded_grid(d: int, points: int) -> tuple:
     in the half-cell [0, pi/d], and how many grid points fold onto each.
 
     Point j sits at (2*pi/d) * r/points in its cell, r = j*d mod points, and
-    folds to (2*pi/d) * f/points with f = min(r, points - r).  With
-    g = gcd(d, points), r runs over the multiples of g, each g times, so f
-    runs over 0, g, ..., up to points/2: g points fold onto f = 0 and onto
-    f = points/2, and 2g onto every other f.
+    folds to (2*pi/d) * f/points with f = min(r, points - r).
     """
-    g = math.gcd(d, points)
-    f = np.arange(0, points // 2 + 1, g)
-    weights = np.full(f.size, 2.0 * g)
-    weights[0] = g
-    if 2 * f[-1] == points:
-        weights[-1] = g
-    return TWO_PI / d * f / points, weights
+    r = np.arange(points) * d % points
+    counts = np.bincount(np.minimum(r, points - r))
+    f = np.flatnonzero(counts)
+    return TWO_PI / d * f / points, counts[f].astype(float)
 
 
 def _optimal_fast_row(m: int, eta: float, grid_points: int, table: tuple):
@@ -456,7 +450,7 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int, table: tuple):
     lowest scan sample, which rounding noise biases low; ``avg_rms`` is
     the mean over ``grid_points`` equally spaced phases of one period,
     summed over the distinct phases they fold onto in the half-cell, each
-    weighted by how many of them fold there (``_folded_grid``), and
+    weighted by the number of them that ``_folded_grid`` counts there, and
     evaluated in blocks of at most PHASE_BLOCK_ELEMENTS (phases x lags).
     """
     curve = _SineCurve(m, eta, table)

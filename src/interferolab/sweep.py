@@ -350,11 +350,12 @@ def emit_gnu_plot_script(summary: SweepSummary) -> str:
 
     path = Path(summary.csv_path)
     script = path.with_suffix(".gp")
+    datafile, stem = (s.replace("'", "''") for s in (path.name, path.stem))  # gnuplot reads '' as '
     body = [
-        f"datafile = '{path.name}'",
+        f"datafile = '{datafile}'",
         "set datafile separator ','",
         "set terminal pngcairo size 900,600",
-        f"set output '{path.stem}.png'",
+        f"set output '{stem}.png'",
         "set logscale y",
         "set xlabel 'sweep value'",
         "set ylabel 'phase error (rad)'",

@@ -145,6 +145,21 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, conf, message", [
+        (["--phi-grid", "1"], "", "phi grid needs at least 2 points"),
+        (["--m-prime", "-1"], "", "m-prime must be >= 0"),
+        (["--n-min", "0.5"], "", "mean photon number 0.5 below 1"),
+        (["--n-min", "2.25"], "", "photon number 2.25 gives non-integer top Fock index 4.5"),
+        ([], "axis=diagonal\n", "unknown axis 'diagonal'"),  # argparse's choices skip files
+    ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-file"])
+    def test_usage_error_from_out_of_range_setting(self, argv, conf, message, tmp_path, capsys):
+        conf_path = tmp_path / "run.conf"
+        conf_path.write_text(conf)
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--config", str(conf_path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigResolution:
     def test_file_then_flags_precedence(self, tmp_path):
@@ -176,6 +191,17 @@ class TestConfigResolution:
         conf.write_text("# comment\n\nvalidate=true\nemit-plot=yes\n")
         updates = load_config_file(conf)
         assert updates == {"validate": True, "emit_plot": True}
+
+    def test_false_config_booleans_write_the_csv_alone(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("validate=false\nemit-plot=off\n")
+        assert load_config_file(conf) == {"validate": False, "emit_plot": False}
+        out = tmp_path / "run.csv"
+        assert run(["--config", str(conf), "--n-min", "2", "--n-max", "3", "--phi-grid", "8",
+                    "--out", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf", "run.csv"]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and printed[0].startswith("wrote 2 rows")  # no report, no script
 
     @pytest.mark.parametrize("line", ["n-min=abc", "phi-grid=2.5", "validate=maybe"])
     def test_config_file_rejects_bad_value(self, line, tmp_path):

@@ -21,6 +21,11 @@ UNUSED_IMPORTS = {
         "bench/layers.py traces it there and bench/verify.py imports it from there",
 }
 
+# (module, name) pairs of private top-level names that nothing in src/ refers to
+UNREFERENCED = {
+    ("sweep", "_worker_count"): "bench/traced_cli.py records it with each traced run",
+}
+
 
 def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
@@ -77,3 +82,29 @@ def test_engine_names_resolve_without_loading_other_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["interferolab.engine"]
+
+
+def test_every_private_top_level_name_is_referenced():
+    # a private function, class or constant that no module reads is dead code:
+    # a reference is a loaded name, an attribute or a from-import of it
+    defined, referenced = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = _tree(path.stem)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((path.stem, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert {(mod, name) for mod, name in defined if name not in referenced} == set(UNREFERENCED)

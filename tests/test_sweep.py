@@ -159,7 +159,8 @@ class TestRowMachinery:
     @pytest.mark.parametrize("d", [1, 2, 5, 7, 12, 41, 60, 301])
     def test_fold_multiplicities_are_the_brute_fold(self, d):
         # grid point j sits at r = j*d mod points in units of one cell / points and
-        # folds to f = min(r, points - r); the closed form counts each f
+        # folds to f = min(r, points - r); the folded f are the multiples of
+        # g = gcd(d, points), g points on 0 and on points/2 and 2g on each other f
         for points in range(2, 200):
             r = np.arange(points) * d % points
             f = np.minimum(r, points - r)
@@ -181,6 +182,7 @@ class TestRowMachinery:
     @example(m=269, eta=0.8645, points=10)  # gcd 10: every point folds onto phase 0
     @example(m=41, eta=0.9, points=97)  # gcd 1, odd
     @example(m=6, eta=0.85, points=90)  # gcd 1, even
+    @example(m=1, eta=1.0, points=2)  # both points fold onto phi = 0, where the RMS is 0
     def test_folded_average_is_the_grid_mean(self, m, eta, points):
         curve = _SineCurve(m, eta, _loss_table(m + 1, eta))
         phases, weights = _folded_grid(curve.d, points)
@@ -199,6 +201,9 @@ class TestRowMachinery:
         size = curve.trace * (curve.mean_square_offset + 2 * half * curve.mean_offset + half**2)
         coeffs = np.abs(curve.value_pairs).reshape(-1, 2, 2).sum(axis=1)  # |Re| + |Im|
         size += 2 / curve.d * float(np.abs(curve.lag_sums) @ coeffs @ [1, half])
+        if want == 0.0:  # a relative bound says nothing at 0
+            assert got == 0.0
+            return
         assert got == pytest.approx(want, rel=max(1e-14, 16 * np.finfo(float).eps * size / want**2))
 
     @pytest.mark.parametrize("eta", [0.5, 0.9])
@@ -706,6 +711,7 @@ class TestMergeExternal:
         pytest.param("inf,0.5\n", 1, id="inf-sweep-value"),
         pytest.param("3,inf\n3,0.5\n", 1, id="inf-cell"),
         pytest.param("3,0.25\n# note\n3.0,0.5\n", 3, id="repeated-sweep-value"),
+        pytest.param("3,abc\n", 1, id="non-numeric-cell"),
     ])
     def test_malformed_comparison_rejected(self, tmp_path, text, line):
         from interferolab.sweep import MalformedComparisonError
@@ -766,6 +772,13 @@ class TestGnuPlotScript:
         assert "using 1:10 with lines" in body  # external
         assert "using 1:2 " not in body
         assert not (tmp_path / "out.csv").exists()
+
+    def test_apostrophe_in_the_csv_name_is_doubled(self, tmp_path):
+        # gnuplot reads '' inside a single-quoted string as one quote
+        summary = run_sweep(small_cfg(tmp_path, output_path=str(tmp_path / "it's.csv")))
+        lines = open(emit_gnu_plot_script(summary)).read().splitlines()
+        assert "datafile = 'it''s.csv'" in lines
+        assert "set output 'it''s.png'" in lines
 
     def test_header_names_every_row_field(self):
         assert len(CSV_HEADER.split(",")) == len(fields(CurvePoint))
