@@ -5,15 +5,15 @@ Every setting is one entry of ``KEYS``: its name is both the flag
 config-file entries, which override the ``SweepConfig`` defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 3 I/O error.  Rows run in ascending sweep order on the calling thread.
-This module and ``sweep`` use the standard library only, so ``--help``,
-usage errors and config checks load no numpy.
+This module and ``sweep`` use the standard library only, and no
+``dataclasses``, so ``--help``, usage errors and config checks load neither
+numpy nor ``inspect``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .sweep import (
@@ -22,6 +22,7 @@ from .sweep import (
     SweepConfig,
     UsageError,
     ValidationFailure,
+    _utf8_lines,
     emit_gnu_plot_script,
     run_sweep,
 )
@@ -86,9 +87,7 @@ def load_config_file(path) -> dict:
     """Parse one key=value per line into {flag dest: value}; blank lines
     and # comments are ignored."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(_utf8_lines(path, UsageError), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -122,7 +121,7 @@ def resolve_config(args) -> tuple:
         else:
             ranges[field][slot] = val
     fields.update((field, tuple(bounds)) for field, bounds in ranges.items())
-    return replace(cfg, **fields), bool(values.get("emit_plot"))
+    return cfg._replace(**fields), bool(values.get("emit_plot"))
 
 
 def main(argv=None) -> int:

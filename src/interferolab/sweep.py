@@ -5,17 +5,18 @@ one input-state family and writes a row of error figures per value,
 together with the shot-noise, Heisenberg and lossy-NOON reference
 columns and an empty slot for externally supplied comparison data.
 Rows are pure functions of the configuration, so repeated runs emit
-byte-identical files.  This module needs the standard library only: every
-row figure comes from ``engine``, which loads with numpy at the first row.
+byte-identical files.  This module needs the standard library only, and no
+``dataclasses``: its three value types are NamedTuples, and every row figure
+comes from ``engine``, which loads with numpy at the first row.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import time
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .protocol import ValidationReport
@@ -37,8 +38,7 @@ class MalformedComparisonError(Exception):
     """External comparison file is malformed."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Declarative description of one sweep run."""
 
     state_family: str = "optimal"
@@ -118,8 +118,7 @@ class SweepConfig:
         return m
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One CSV row; each field is the CSV column of its name, and None marks
     a column that does not apply."""
 
@@ -135,10 +134,10 @@ class CurvePoint:
     external: float | None = None
 
     def csv_row(self) -> str:
-        return ",".join(format_float(getattr(self, f.name)) for f in fields(self))
+        return ",".join(map(format_float, self))
 
 
-CSV_HEADER = ",".join(f.name for f in fields(CurvePoint))
+CSV_HEADER = ",".join(CurvePoint._fields)
 
 
 def format_float(x) -> str:
@@ -147,8 +146,7 @@ def format_float(x) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """What a run produced: rows, output path, validation outcome, timing,
     and the comparison values that matched no sweep value."""
 
@@ -207,10 +205,9 @@ def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
         )
     except (ValueError, ArithmeticError) as exc:  # check() passed, so the numbers broke down
         raise ValidationFailure(f"{where}: {exc}") from exc
-    for f in fields(point):
-        x = getattr(point, f.name)
+    for name, x in zip(point._fields, point):
         if x is not None and not math.isfinite(x):
-            raise ValidationFailure(f"{where}: {f.name} is {x}")
+            raise ValidationFailure(f"{where}: {name} is {x}")
     return point
 
 
@@ -277,29 +274,43 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     )
 
 
+def _utf8_lines(path, error) -> io.StringIO:
+    """The lines of the text file ``path`` as ``open(path, encoding="utf-8-sig")``
+    reads them: UTF-8 less a leading byte-order mark, universal newlines.  A byte
+    that is not UTF-8 raises ``error`` naming the file, the line and the byte's
+    offset in the file, which such an ``open`` counts from its read buffer."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: byte {exc.start} (0x{data[exc.start]:02x}) "
+                    "is not UTF-8") from exc
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None)
+
+
 def _read_comparison(path) -> dict:
     """Map each comparison sweep value to its error; every cell must be
     finite and no sweep value may repeat."""
     comparison = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise MalformedComparisonError(
-                    f"{path}:{lineno}: expected two comma-separated columns"
-                )
-            try:
-                value, error = float(cells[0]), float(cells[1])
-            except ValueError as exc:
-                raise MalformedComparisonError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(value) and math.isfinite(error)):
-                raise MalformedComparisonError(f"{path}:{lineno}: non-finite cell")
-            if value in comparison:
-                raise MalformedComparisonError(f"{path}:{lineno}: repeated sweep value {value!r}")
-            comparison[value] = error
+    for lineno, line in enumerate(_utf8_lines(path, MalformedComparisonError), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise MalformedComparisonError(
+                f"{path}:{lineno}: expected two comma-separated columns"
+            )
+        try:
+            value, error = float(cells[0]), float(cells[1])
+        except ValueError as exc:
+            raise MalformedComparisonError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise MalformedComparisonError(f"{path}:{lineno}: non-finite cell")
+        if value in comparison:
+            raise MalformedComparisonError(f"{path}:{lineno}: repeated sweep value {value!r}")
+        comparison[value] = error
     return comparison
 
 
@@ -310,7 +321,7 @@ def _with_external(rows: list, comparison: dict) -> tuple:
     printed = [float(format_float(r.sweep)) for r in rows]
     seen = set(printed)
     unmatched = tuple(v for v in comparison if v not in seen)
-    filled = [replace(r, external=comparison[v]) if v in comparison else r
+    filled = [r._replace(external=comparison[v]) if v in comparison else r
               for r, v in zip(rows, printed)]
     return filled, unmatched
 
@@ -324,7 +335,7 @@ def emit_gnu_plot_script(summary: SweepSummary) -> str:
     and Heisenberg columns.  Traces whose column is empty in every row of
     ``summary`` are omitted; the CSV itself is not read.
     """
-    names = [f.name for f in fields(CurvePoint)]
+    names = CurvePoint._fields
     filled = {n for n in names if any(getattr(r, n) is not None for r in summary.rows)}
 
     def col(name: str) -> int:

@@ -146,15 +146,19 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, conf, message", [
-        (["--phi-grid", "1"], "", "phi grid needs at least 2 points"),
-        (["--m-prime", "-1"], "", "m-prime must be >= 0"),
-        (["--n-min", "0.5"], "", "mean photon number 0.5 below 1"),
-        (["--n-min", "2.25"], "", "photon number 2.25 gives non-integer top Fock index 4.5"),
-        ([], "axis=diagonal\n", "unknown axis 'diagonal'"),  # argparse's choices skip files
-    ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-file"])
+        (["--phi-grid", "1"], b"", "phi grid needs at least 2 points"),
+        (["--m-prime", "-1"], b"", "m-prime must be >= 0"),
+        (["--n-min", "0.5"], b"", "mean photon number 0.5 below 1"),
+        (["--n-min", "2.25"], b"", "photon number 2.25 gives non-integer top Fock index 4.5"),
+        ([], b"axis=diagonal\n", "unknown axis 'diagonal'"),  # argparse's choices skip files
+        ([], b"\xef\xbb\xbfaxis=diagonal\n", "unknown axis 'diagonal'"),  # not key '\ufeffaxis'
+        ([], b"family=mm\nn-min=\xff\n", "run.conf:2: byte 16 (0xff) is not UTF-8"),
+        ([], b"\xef\xbb\xbfn-min=\xff\n", "run.conf:1: byte 9 (0xff) is not UTF-8"),
+    ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-file",
+            "axis-after-byte-order-mark", "undecodable-byte", "undecodable-after-byte-order-mark"])
     def test_usage_error_from_out_of_range_setting(self, argv, conf, message, tmp_path, capsys):
         conf_path = tmp_path / "run.conf"
-        conf_path.write_text(conf)
+        conf_path.write_bytes(conf)
         out = tmp_path / "x.csv"
         assert run([*argv, "--config", str(conf_path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
@@ -230,6 +234,16 @@ class TestConfigResolution:
         assert from_flag == from_file
         assert from_flag != resolve_config(build_parser().parse_args([]))
 
+    def test_byte_order_mark_leaves_the_csv_unchanged(self, tmp_path):
+        csvs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            conf = tmp_path / "run.conf"
+            conf.write_bytes(bom + b"family=mm\nm-prime=1\nn-min=3\nn-max=4\nphi-grid=8\n")
+            out = tmp_path / f"{len(bom)}.csv"
+            assert run(["--config", str(conf), "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("frobnicate=1\n")
@@ -303,10 +317,10 @@ class TestModuleEntryPoint:
 
     def test_import_loads_only_numpy_and_stdlib(self, tmp_path):
         # every CLI run pays for what the import loads (setup_s in bench/), and so
-        # does every --help, usage error and config check, which load no numpy: the
-        # engine loads at the first row, and a sweep runs on it alone; the Fock
-        # containers, the states and the Kraus oracle with its gate load only for
-        # --validate, the references never
+        # does every --help, usage error and config check, which load no numpy, and
+        # no dataclasses with its inspect: the engine loads at the first row, and a
+        # sweep runs on it alone; the Fock containers, the states and the Kraus
+        # oracle with its gate load only for --validate, the references never
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -314,6 +328,7 @@ class TestModuleEntryPoint:
             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
             "def package():\n"
             "    print('numpy' in sys.modules,\n"
+            "          not {'dataclasses', 'inspect'}.isdisjoint(sys.modules),\n"
             "          *sorted(m for m in sys.modules if m.startswith('interferolab.')))\n"
             "package()\n"
             "open('bad.cfg', 'w').write('n-min=two\\n')\n"
@@ -337,14 +352,17 @@ class TestModuleEntryPoint:
         assert "interferolab" in loaded
         assert "numpy" not in loaded
         assert loaded - {"interferolab", "numpy"} <= set(sys.stdlib_module_names)
+        assert not {"dataclasses", "inspect"} & loaded
         states = [line.split() for line in lines if line.startswith(("True", "False"))]
         numpy_loaded = [state[0] == "True" for state in states]
-        package = [set(state[1:]) for state in states]
+        inspect_loaded = [state[1] == "True" for state in states]
+        package = [set(state[2:]) for state in states]
         front = {"interferolab.cli", "interferolab.sweep"}
         engine_only = front | {"interferolab.engine"}
         # after the import, a usage error and a bad config-file line
         assert package[:3] == [front] * 3
         assert numpy_loaded == [False] * 3 + [True] * 3
+        assert inspect_loaded[:3] == [False] * 3
         assert package[3:5] == [engine_only] * 2  # after an optimal and an mm sweep
         assert "interferolab.protocol" in package[5]  # --validate
         assert "interferolab.estimation" not in package[5]

@@ -3,7 +3,6 @@ import decimal
 import math
 import threading
 import warnings
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +53,17 @@ def small_cfg(tmp_path, **kw):
     )
     base.update(kw)
     return SweepConfig(**base)
+
+
+@pytest.mark.parametrize("value, field", [
+    (SweepConfig(), "validate"),
+    (CurvePoint(sweep=2.0), "external"),
+    (sweep_mod.SweepSummary(csv_path="out.csv", rows=(), elapsed=0.0), "rows"),
+], ids=["config", "curve-point", "summary"])
+def test_value_types_are_immutable_and_hashable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    hash(value)  # raises TypeError on a mutable value
 
 
 class TestConfigValidation:
@@ -367,12 +377,12 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "_compute_row", recording_row)
         monkeypatch.delenv("INTERF_THREADS", raising=False)
         cfg = small_cfg(tmp_path, state_family=family, n_range=(4.0, 7.0, 1.0))
-        run_sweep(replace(cfg, output_path=str(tmp_path / "unset.csv")))
+        run_sweep(cfg._replace(output_path=str(tmp_path / "unset.csv")))
         for threads in ("3", "abc"):
             monkeypatch.setenv("INTERF_THREADS", threads)
             calls.clear()
             out = tmp_path / f"{threads}.csv"
-            run_sweep(replace(cfg, output_path=str(out)))
+            run_sweep(cfg._replace(output_path=str(out)))
             assert calls == [(threading.get_ident(), n) for n in (4.0, 5.0, 6.0, 7.0)]
             assert out.read_bytes() == (tmp_path / "unset.csv").read_bytes()
 
@@ -681,7 +691,7 @@ class TestMergeExternal:
 
     def run_with(self, tmp_path, text):
         comp = tmp_path / "comp.csv"
-        comp.write_text(text)
+        comp.write_bytes(text.encode() if isinstance(text, str) else text)
         run_sweep(small_cfg(tmp_path, external_comparison_file=str(comp)))
         return tmp_path / "out.csv"
 
@@ -695,6 +705,11 @@ class TestMergeExternal:
         rows = csv.read_text().splitlines()[1:]
         externals = [r.split(",")[9] for r in rows]
         assert externals == ["", "0.125", "", ""]
+
+    def test_byte_order_mark_leaves_the_csv_unchanged(self, tmp_path):
+        plain = self.run_with(tmp_path, "3,0.125\n").read_bytes()
+        assert self.run_with(tmp_path, "\ufeff3,0.125\n").read_bytes() == plain
+        assert b",0.125\n" in plain
 
     def test_mismatch_warns_and_leaves_empty(self, tmp_path):
         comp = tmp_path / "comp.csv"
@@ -712,6 +727,9 @@ class TestMergeExternal:
         pytest.param("3,inf\n3,0.5\n", 1, id="inf-cell"),
         pytest.param("3,0.25\n# note\n3.0,0.5\n", 3, id="repeated-sweep-value"),
         pytest.param("3,abc\n", 1, id="non-numeric-cell"),
+        pytest.param("\ufeff2,0.5\n3,abc\n", 2, id="non-numeric-cell-after-byte-order-mark"),
+        pytest.param(b"3,0.5\n\xff,1\n", 2, id="undecodable-byte"),
+        pytest.param(b"\xef\xbb\xbf3,0.5\n2,\xff\n", 2, id="undecodable-after-byte-order-mark"),
     ])
     def test_malformed_comparison_rejected(self, tmp_path, text, line):
         from interferolab.sweep import MalformedComparisonError
@@ -781,4 +799,4 @@ class TestGnuPlotScript:
         assert "set output 'it''s.png'" in lines
 
     def test_header_names_every_row_field(self):
-        assert len(CSV_HEADER.split(",")) == len(fields(CurvePoint))
+        assert len(CSV_HEADER.split(",")) == len(CurvePoint._fields)
