@@ -8,11 +8,18 @@ Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 This module and ``sweep`` use the standard library only, and no
 ``dataclasses``, so ``--help``, usage errors and config checks load neither
 numpy nor ``inspect``.
+
+``run()`` is the process entry of ``python -m interferolab`` and of the
+``interferolab`` script: it runs ``main()`` with the collector off and
+freezes the heap before exiting, so that interpreter shutdown does not
+scan numpy's objects.  In-process callers use ``main(argv)``, which
+returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -128,6 +135,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg, emit_plot = resolve_config(args)
+        cfg.check()  # before the plot's name is derived from the CSV's
         out = Path(cfg.output_path)
         if emit_plot and out.with_suffix(".gp") == out:  # emit_gnu_plot_script's name
             raise UsageError(f"--emit-plot would overwrite the CSV {out} with its script")
@@ -149,5 +157,21 @@ def main(argv=None) -> int:
         return 3
 
 
+def run():
+    """Run ``main()`` on the command line and end the process with its exit code.
+
+    The collector stays off for the run and the heap is frozen before
+    exiting: a row makes no reference cycles, so reference counts free
+    everything it builds, and shutdown's final collections skip frozen
+    objects.  This leaves the collector off and the heap frozen for
+    whatever runs after, so nothing in-process may call it; ``atexit``
+    handlers still run, and every file is closed where it is written.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

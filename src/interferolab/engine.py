@@ -11,14 +11,17 @@ dispersion, the propagated error of the two-component observable and the
 shot-noise, Heisenberg and lossy-NOON baselines.  They live here, and
 only here: ``sweep`` loads this module when its first row runs, and
 ``fock``, ``states``, ``protocol`` and ``estimation`` import from it the
-names their own code uses.
+names their own code uses.  It loads no ``dataclasses``: its three value
+types, ``MmStateSpec``, ``MmErrorTerms`` and ``Baselines``, are immutable
+named tuples, and the first two check their fields in ``__new__``, so
+``_replace`` checks them too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,16 +56,19 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
 
 
-@dataclass(frozen=True)
-class MmStateSpec:
+class MmStateSpec(namedtuple("MmStateSpec", "m m_prime")):
     """Parameters of the two-component state (|m> + |m_prime>)/sqrt(2)."""
 
-    m: int
-    m_prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.m > self.m_prime >= 0):
-            raise ValueError(f"need m > m_prime >= 0, got ({self.m}, {self.m_prime})")
+    def __new__(cls, m: int, m_prime: int):
+        if not (m > m_prime >= 0):
+            raise ValueError(f"need m > m_prime >= 0, got ({m}, {m_prime})")
+        return super().__new__(cls, m, m_prime)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def delta(self) -> int:
@@ -227,8 +233,7 @@ def _holevo_dispersion(s: float) -> float:
     return math.sqrt(max(s**-2 - 1.0, 0.0)) if s else math.inf
 
 
-@dataclass(frozen=True)
-class MmErrorTerms:
+class MmErrorTerms(namedtuple("MmErrorTerms", "mean_square coherence delta")):
     """Scalar ingredients of the closed-form error propagation.
 
     ``mean_square`` is the expected square of the hopping observable and
@@ -236,15 +241,18 @@ class MmErrorTerms:
     neither depends on phi.
     """
 
-    mean_square: float
-    coherence: float
-    delta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.mean_square >= 0.0:  # written so that NaN fails too
+    def __new__(cls, mean_square: float, coherence: float, delta: int):
+        if not mean_square >= 0.0:  # written so that NaN fails too
             raise ValueError("mean_square must be non-negative")
-        if not abs(self.coherence) <= 1.0 + 1e-12:
+        if not abs(coherence) <= 1.0 + 1e-12:
             raise ValueError("coherence amplitude cannot exceed 1")
+        return super().__new__(cls, mean_square, coherence, delta)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def _mm_error_terms(spec: MmStateSpec, lags: dict) -> MmErrorTerms:
@@ -273,13 +281,10 @@ def mm_phase_error_closed(terms: MmErrorTerms, phi: float) -> float:
     return _propagated_error(terms.mean_square, terms.coherence, terms.delta, phi)
 
 
-@dataclass(frozen=True)
-class Baselines:
+class Baselines(namedtuple("Baselines", "shot_noise heisenberg noon_error")):
     """Reference phase errors at mean photon number n and transmissivity eta."""
 
-    shot_noise: float
-    heisenberg: float
-    noon_error: float
+    __slots__ = ()
 
 
 def noon_phase_error(n: int, eta: float, phi: float) -> float:

@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 FAMILIES = ("optimal", "mm", "no", "noon")
 
 MAX_ROWS = 100_000  # far above any real sweep; a longer range is a mistyped step
+MAX_PHI_GRID = 1_000_000  # a row folds the grid through about 24 bytes per point
 
 
 class UsageError(Exception):
@@ -74,6 +75,11 @@ class SweepConfig(NamedTuple):
             raise UsageError(f"range step {step!r} gives {rows:.6g} rows, more than {MAX_ROWS}")
         if self.phi_grid_points < 2:
             raise UsageError("phi grid needs at least 2 points")
+        if self.phi_grid_points > MAX_PHI_GRID:
+            raise UsageError(f"phi grid of {self.phi_grid_points} points is more than "
+                             f"{MAX_PHI_GRID}")
+        if not Path(self.output_path).name:
+            raise UsageError(f"output path {self.output_path!r} names no file")
         if self.mm_m_prime < 0:
             raise UsageError("m-prime must be >= 0")
         etas = self.values() if axis == "eta" else [self.fixed_eta]

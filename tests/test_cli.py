@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import resource
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import interferolab.cli as cli_mod
 import interferolab.sweep as sweep_mod
 from interferolab.cli import KEYS, build_parser, load_config_file, main, resolve_config
 from interferolab.sweep import UsageError
@@ -303,6 +305,20 @@ class TestPlotFlag:
         assert not out.exists()
 
 
+def test_run_exits_with_the_code_of_main_and_the_collector_off(monkeypatch):
+    # run() ends the process, so it leaves the collector as it found it only here
+    monkeypatch.setattr(cli_mod, "main", lambda: 2)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.run()
+        assert exc.value.code == 2
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
 class TestModuleEntryPoint:
     ROOT = Path(__file__).resolve().parent.parent
 
@@ -318,17 +334,18 @@ class TestModuleEntryPoint:
     def test_import_loads_only_numpy_and_stdlib(self, tmp_path):
         # every CLI run pays for what the import loads (setup_s in bench/), and so
         # does every --help, usage error and config check, which load no numpy, and
-        # no dataclasses with its inspect: the engine loads at the first row, and a
-        # sweep runs on it alone; the Fock containers, the states and the Kraus
-        # oracle with its gate load only for --validate, the references never
+        # no dataclasses or inspect: the engine loads at the first row, and a
+        # sweep runs on it alone, still without dataclasses; the Fock containers,
+        # the states and the Kraus oracle with its gate load only for --validate,
+        # the references never
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import interferolab.cli\n"
             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
             "def package():\n"
-            "    print('numpy' in sys.modules,\n"
-            "          not {'dataclasses', 'inspect'}.isdisjoint(sys.modules),\n"
+            "    print('numpy' in sys.modules, 'dataclasses' in sys.modules,\n"
+            "          'inspect' in sys.modules,\n"
             "          *sorted(m for m in sys.modules if m.startswith('interferolab.')))\n"
             "package()\n"
             "open('bad.cfg', 'w').write('n-min=two\\n')\n"
@@ -355,14 +372,18 @@ class TestModuleEntryPoint:
         assert not {"dataclasses", "inspect"} & loaded
         states = [line.split() for line in lines if line.startswith(("True", "False"))]
         numpy_loaded = [state[0] == "True" for state in states]
-        inspect_loaded = [state[1] == "True" for state in states]
-        package = [set(state[2:]) for state in states]
+        dataclasses_loaded = [state[1] == "True" for state in states]
+        inspect_loaded = [state[2] == "True" for state in states]
+        package = [set(state[3:]) for state in states]
         front = {"interferolab.cli", "interferolab.sweep"}
         engine_only = front | {"interferolab.engine"}
         # after the import, a usage error and a bad config-file line
         assert package[:3] == [front] * 3
         assert numpy_loaded == [False] * 3 + [True] * 3
-        assert inspect_loaded[:3] == [False] * 3
+        assert inspect_loaded[:3] == [False] * 3  # numpy loads inspect
+        # the engine's value types are named tuples, so a sweep loads no dataclasses;
+        # the Fock containers of --validate do
+        assert dataclasses_loaded == [False] * 5 + [True]
         assert package[3:5] == [engine_only] * 2  # after an optimal and an mm sweep
         assert "interferolab.protocol" in package[5]  # --validate
         assert "interferolab.estimation" not in package[5]
@@ -398,6 +419,68 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith("usage error:")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    # 1e8 points would need a 763 MiB index array in the row's grid fold,
+    # more than half the child's 1.5 GiB limit: the check refuses it first
+    def test_huge_phi_grid_is_a_usage_error(self, tmp_path):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        proc = self.run_module(["--phi-grid", "100000000", "--out", "x.csv"], tmp_path,
+                               preexec_fn=limit_memory)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error: phi grid of 100000000 points")
+        assert f"more than {sweep_mod.MAX_PHI_GRID}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    # an --out without a file name has no CSV to write and no name to derive
+    # the plot script's or the validation reports' from
+    @pytest.mark.parametrize("extra", [[], ["--validate"], ["--emit-plot"]],
+                             ids=["plain", "validate", "emit-plot"])
+    @pytest.mark.parametrize("out", ["", ".", "/"], ids=["empty", "dot", "root"])
+    def test_output_path_without_a_file_name_is_a_usage_error(self, out, extra, tmp_path):
+        proc = self.run_module(["--n-max", "4", "--phi-grid", "8", "--out", out, *extra],
+                               tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error:")
+        assert "names no file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    # the process entry (run) and an in-process main() write the same bytes; the
+    # summary's elapsed seconds are the one thing that may differ
+    @pytest.mark.parametrize("argv", [
+        ["--family", "optimal", "--n-max", "6", "--emit-plot"],
+        ["--family", "mm", "--n-min", "5", "--n-max", "8", "--validate"],
+        ["--family", "noon", "--n-max", "6"],
+    ], ids=["optimal-plot", "mm-validate", "noon"])
+    def test_module_run_matches_in_process_main(self, argv, tmp_path, monkeypatch, capsys):
+        argv = [*argv, "--phi-grid", "90", "--out", "x.csv"]
+        child, parent = tmp_path / "child", tmp_path / "parent"
+        child.mkdir()
+        parent.mkdir()
+        proc = self.run_module(argv, child)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.chdir(parent)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert proc.stderr == captured.err == ""
+
+        def elapsed_masked(text):
+            return re.sub(r"\(\d+\.\d\ds\)", "(elapsed)", text)
+
+        assert elapsed_masked(proc.stdout) == elapsed_masked(captured.out)
+        names = sorted(p.name for p in child.iterdir())
+        assert names == sorted(p.name for p in parent.iterdir())
+        assert len(names) == 1 + 2 * ("--validate" in argv) + ("--emit-plot" in argv)
+        for name in names:
+            assert (child / name).read_bytes() == (parent / name).read_bytes(), name
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((self.ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        assert project["project"]["scripts"] == {"interferolab": "interferolab.cli:run"}
 
     # binomials of 1030 and above overflow double, so a row with top index 40000
     # must fail; it does so before building anything d x d (a 40001 x 40001

@@ -59,11 +59,26 @@ def small_cfg(tmp_path, **kw):
     (SweepConfig(), "validate"),
     (CurvePoint(sweep=2.0), "external"),
     (sweep_mod.SweepSummary(csv_path="out.csv", rows=(), elapsed=0.0), "rows"),
-], ids=["config", "curve-point", "summary"])
+    (MmStateSpec(4, 1), "m_prime"),
+    (MmErrorTerms(0.5, 0.2, 3), "coherence"),
+    (engine_mod.Baselines(1.0, 0.5, 0.6), "noon_error"),
+], ids=["config", "curve-point", "summary", "mm-state-spec", "mm-error-terms", "baselines"])
 def test_value_types_are_immutable_and_hashable(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     hash(value)  # raises TypeError on a mutable value
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MmStateSpec(4, 1)._replace(m_prime=5), r"need m > m_prime >= 0, got \(4, 5\)"),
+    (lambda: MmErrorTerms(0.5, 0.2, 3)._replace(mean_square=-1.0),
+     "mean_square must be non-negative"),
+    (lambda: MmErrorTerms(0.5, 0.2, 3)._replace(coherence=1.5),
+     "coherence amplitude cannot exceed 1"),
+], ids=["mm-state-spec", "mm-error-terms-mean-square", "mm-error-terms-coherence"])
+def test_replace_checks_the_engine_value_types(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestConfigValidation:
