@@ -3,9 +3,9 @@
 A sweep row needs the input amplitudes (the sine state, or the
 two-component state of an ``MmStateSpec``), the lag-space round trip
 ``_round_trip`` with the loss table of its transmissivity (the loss
-amplitudes and their square, built from the binomial table once per eta
-by the table source ``_loss_tables`` and read by every row through its
-top-left block), and the figures read off its lags: the sine-state RMS
+amplitudes, built from the binomial table once per eta by the table
+source ``_loss_tables`` and read by every row through its top-left
+block), and the figures read off its lags: the sine-state RMS
 curve with its minimiser and phase average (``_SineCurve``), the Holevo
 dispersion, the propagated error of the two-component observable and the
 shot-noise, Heisenberg and lossy-NOON baselines.  They live here, and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -54,6 +55,15 @@ def binomial_table(nmax: int) -> np.ndarray:
 def _check_eta(eta: float) -> None:
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
+
+
+def _check_top(m, name: str = "m") -> None:
+    try:
+        operator.index(m)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {m!r}") from None
+    if m < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 class MmStateSpec(namedtuple("MmStateSpec", "m m_prime")):
@@ -97,14 +107,14 @@ def _check_rows(d: int) -> None:
         raise ValueError(f"loss amplitudes are non-finite: binomials of {_BINOM_OVERFLOW} overflow")
 
 
-def _loss_table(d: int, eta: float, binom=None) -> tuple:
-    """The loss table of eta: the pair (amp, W_0), amp[a, c] = sqrt(C(c, a) eta^a
-    (1-eta)^(c-a)), the amplitude of keeping a of c photons, and W_0 its square,
-    both C order with d rows, C from the top-left block of binom (a binomial_table
-    of at least d rows; None builds one).  (1-eta) is raised to each loss count
-    once, and its powers are read through a Toeplitz view, so amp and W_0 are the
-    only d x d arrays built.  A round trip of any size up to d reads their
-    top-left blocks, which equal the smaller table's bit for bit."""
+def _loss_table(d: int, eta: float, binom=None) -> np.ndarray:
+    """The loss table of eta: amp[a, c] = sqrt(C(c, a) eta^a (1-eta)^(c-a)), the
+    amplitude of keeping a of c photons, C order with d rows, C from the top-left
+    block of binom (a binomial_table of at least d rows; None builds one).
+    (1-eta) is raised to each loss count once, and its powers are read through a
+    Toeplitz view, so amp is the only d x d array built.  A round trip of any
+    size up to d reads its top-left block, which equals the smaller table's bit
+    for bit."""
     _check_rows(d)
     binom = (binomial_table(d - 1) if binom is None else binom)[:d, :d]
     n = np.arange(d)
@@ -112,12 +122,11 @@ def _loss_table(d: int, eta: float, binom=None) -> tuple:
     # row a of the view is (1-eta)^(c-a) for c >= a and 0 below, where C(c, a) is 0
     lost = np.concatenate((np.zeros(d - 1), (1.0 - eta) ** n))
     amp *= np.lib.stride_tricks.sliding_window_view(lost, d)[::-1]
-    np.sqrt(amp, out=amp)
-    return amp, np.square(amp)
+    return np.sqrt(amp, out=amp)
 
 
 def _loss_tables(top: int):
-    """``table_for(eta)``, the loss table of eta for a sweep up to top index ``top``.
+    """``table_for(eta)``, the loss table (amp) of eta for a sweep up to top index ``top``.
     A table's top-left block is the smaller table bit for bit, so each is built on
     first use for the largest row (capped at the binomial limit): a sweep over n
     builds one, and a sweep over eta one per row from one binomial table."""
@@ -135,15 +144,15 @@ def _occupied_lags(amps: np.ndarray) -> np.ndarray:
 
 _LOOP_MAX_LAGS = 64  # inputs on at most this many lags run the per-lag loop alone
 _LOOP_LOW_LAGS = 2  # lags below this run the loop in every input: the trace and holevo's S
-_LAG_BLOCK = 64  # lags per block, and rows of W_0 per product, of the blocked route
+_LAG_BLOCK = 64  # lags per block, and rows of W_0 = amp^2 per product, of the blocked route
 
 
 def _round_trip(amps: np.ndarray, eta: float, table=None) -> dict:
     """Lag diagonals of loss(reverse(loss(|a><a|))) for real amplitudes a:
     the round-trip output at phi = 0 with transmissivity eta in both arms,
     as {k: out[i, i+k] for i < d-k} over the lags k >= 0 that |a><a| occupies,
-    through ``table``, the loss table of eta (``_loss_table``) with at least
-    d rows; None builds one of d rows.
+    through ``table``, the loss table amp of eta (``_loss_table``) with at
+    least d rows; None builds one of d rows.
 
     Loss keeps lags apart: lag k of its output is W_k @ (lag k of its input)
     with W_k[i, j] = amp[i, j] amp[i+k, j+k].  The output is real and
@@ -157,8 +166,8 @@ def _round_trip(amps: np.ndarray, eta: float, table=None) -> dict:
     ``_blocked_round_trip``, which is faster from about 20 lags on but
     rounds differently: run on every input, it moves bits of the validation
     report, and on the lowest lags, last digits of large sweeps' CSV cells.
-    Both routes read W_0 from the table rather than squaring amp, and the
-    loop's last bits follow the table's memory order, which is why the
+    The blocked route squares amp's d x d block once, for W_0 = amp^2, and
+    the loop's last bits follow the table's memory order, which is why the
     table is C order at every d.
     """
     d = amps.size
@@ -169,24 +178,24 @@ def _round_trip(amps: np.ndarray, eta: float, table=None) -> dict:
     split = ks.size if ks.size <= _LOOP_MAX_LAGS else np.searchsorted(ks, _LOOP_LOW_LAGS)
     lags = {k: _lag_round_trip(amps, table, k) for k in map(int, ks[:split])}
     if split < ks.size:
-        lags.update(_blocked_round_trip(amps, eta, table[1], ks[split:]))
+        lags.update(_blocked_round_trip(amps, eta, np.square(table[:d, :d]), ks[split:]))
     return lags
 
 
-def _lag_round_trip(amps: np.ndarray, table: tuple, k: int) -> np.ndarray:
+def _lag_round_trip(amps: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     """Lag k of ``_round_trip`` through its own W_k[i, j] = amp[i, j] amp[i+k, j+k],
-    read from the loss table (amp, W_0) as W_0's block at k = 0."""
+    from the loss table amp; at k = 0 the product is amp^2 bit for bit."""
     d = amps.size
-    amp, w0 = table
-    w = w0[:d, :d] if k == 0 else amp[: d - k, : d - k] * amp[k:d, k:d]
+    w = table[: d - k, : d - k] * table[k:d, k:d]
     return w @ (w @ (amps[: d - k] * amps[k:]))[::-1]
 
 
 def _blocked_round_trip(amps: np.ndarray, eta: float, w0: np.ndarray, ks: np.ndarray) -> dict:
     """The lags ks (ascending) of ``_round_trip``, _LAG_BLOCK at a time, as a
     (lags, rows) block over the rows of its lowest lag, zero past each lag's
-    end: the two loss legs (``_loss_leg``) with W_0 from w0's top-left block,
-    and between them the reversal, which sends row i of lag k to row d-k-1-i.
+    end: the two loss legs (``_loss_leg``) with W_0 = amp^2 as w0, which the
+    caller squares from the table's d x d block once, and between them the
+    reversal, which sends row i of lag k to row d-k-1-i.
 
     The legs scale lag k's row i by exp(g_k(i) - c_k), with g_k(n) =
     ln((n+k)! / n!) / 2 from cumulative log sums and c_k the middle of g_k's
@@ -331,7 +340,7 @@ class _SineCurve:
     closed-form series in the c_k, so no outcome probability is formed.
     """
 
-    def __init__(self, m: int, eta: float, table: tuple):
+    def __init__(self, m: int, eta: float, table: np.ndarray):
         # summed as complex, like np.sum over a complex diagonal: a real sum pairs
         # the terms differently, and min_rms at N = 28 of the default sweep moves
         diagonals = _round_trip(_sine_amplitudes(m), eta, table).values()
@@ -446,7 +455,7 @@ def _folded_grid(d: int, points: int) -> tuple:
     return TWO_PI / d * f / points, counts[f].astype(float)
 
 
-def _optimal_fast_row(m: int, eta: float, grid_points: int, table: tuple):
+def _optimal_fast_row(m: int, eta: float, grid_points: int, table: np.ndarray):
     """Error figures for the sine state from the lag sums of its phi = 0 output.
 
     The reported phase is the minimiser folded into [0, pi/(m+1)] (see
@@ -469,7 +478,7 @@ def _optimal_fast_row(m: int, eta: float, grid_points: int, table: tuple):
     return float(curve.rms(phi_star)), phi_star, avg, holevo
 
 
-def _mm_row(spec: MmStateSpec, eta: float, table: tuple):
+def _mm_row(spec: MmStateSpec, eta: float, table: np.ndarray):
     """Least propagated error of the two-component state, and its phase.
 
     The mean square MS and coherence C of the observable do not depend on

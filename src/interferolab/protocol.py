@@ -11,13 +11,13 @@ production engine, ``engine._round_trip``, returns only
 the output's lag diagonals (n - n' = k) that the input occupies, as
 {k: lag}, O(d) numbers each: by a loop over the lags for an input on few
 lags, and for a larger one by products of 64 lags at a time with the
-binomial loss matrix, one per loss leg.  Both read a loss table that
-depends on eta alone and serves every smaller round trip through its
-top-left block, so a sweep over n and the validation gate build one per
-eta; the public functions build their own, and ``optimal_state_output``
-and ``mm_state_output`` assemble d x d matrices from the lags.  Each call
-runs one round trip, so a phase scan should apply each phase to one
-phi = 0 output.
+table squared once per row, one per loss leg.  Both read a loss table,
+one d x d array of amplitudes that depends on eta alone and serves every
+smaller round trip through its top-left block, so a sweep over n and the
+validation gate build one per eta; the public functions build their own,
+and ``optimal_state_output`` and ``mm_state_output`` assemble d x d
+matrices from the lags.  Each call runs one round trip, so a phase scan
+should apply each phase to one phi = 0 output.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .engine import (
     MmStateSpec,
     _check_eta,
+    _check_top,
     _loss_table,
     _mm_amplitudes,
     _round_trip,
@@ -109,8 +110,7 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
     transmissivity in both arms), assembled from the lags the sweep reads.
     Matches ``roundtrip_oracle(optimal_phase_state(m), ...)`` elementwise.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_top(m)
     _check_eta(eta)
     return _output_matrix(_round_trip(_sine_amplitudes(m), eta), phi, check)
 
@@ -205,6 +205,7 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
     round trip on the stack of its states at all phases, checked at once, with one
     loss channel built for both arms.  The lag round trips read one loss table per
     eta, built for max_m from one binomial table."""
+    _check_top(max_m, "max_m")
     binom = binomial_table(max_m)
     tables = {eta: _loss_table(max_m + 1, eta, binom) for eta in _VALIDATION_ETAS}
     phis = np.array(_VALIDATION_PHIS)[:, None]  # the stack: phases down, states across

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MmStateSpec, _mm_amplitudes, _sine_amplitudes
+from .engine import MmStateSpec, _check_top, _mm_amplitudes, _sine_amplitudes
 from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, _frozen, loss_channel
 
 
@@ -25,8 +25,7 @@ def optimal_phase_state(m: int) -> FockVector:
     positive and symmetric under n -> m-n, which makes the state (up to a
     global phase) invariant under the index-reversal unitary.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_top(m)
     return FockVector(_sine_amplitudes(m))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     from .protocol import ValidationReport
 
-FAMILIES = ("optimal", "mm", "no", "noon")
+FAMILIES = ("optimal", "mm", "noon")
 
 MAX_ROWS = 100_000  # far above any real sweep; a longer range is a mistyped step
 MAX_PHI_GRID = 1_000_000  # a row folds the grid through about 24 bytes per point
@@ -73,6 +74,11 @@ class SweepConfig(NamedTuple):
         rows = self._row_count()
         if rows > MAX_ROWS:
             raise UsageError(f"range step {step!r} gives {rows:.6g} rows, more than {MAX_ROWS}")
+        for name, count in (("phi grid", self.phi_grid_points), ("m-prime", self.mm_m_prime)):
+            try:
+                operator.index(count)
+            except TypeError:
+                raise UsageError(f"{name} must be an integer, got {count!r}") from None
         if self.phi_grid_points < 2:
             raise UsageError("phi grid needs at least 2 points")
         if self.phi_grid_points > MAX_PHI_GRID:
@@ -103,14 +109,9 @@ class SweepConfig(NamedTuple):
     def _top_index(self, n: float) -> int:
         """Largest Fock index of the input for mean photon number n."""
         fam = self.state_family
-        if fam == "optimal":
-            m = 2.0 * n
-        elif fam == "mm":
-            m = 2.0 * n - self.mm_m_prime
-        else:  # no / noon use integer n
-            if abs(n - round(n)) > 1e-9:
-                raise UsageError(f"family {fam!r} needs integer photon numbers, got {n!r}")
-            m = 2.0 * n
+        if fam == "noon" and abs(n - round(n)) > 1e-9:
+            raise UsageError(f"family {fam!r} needs integer photon numbers, got {n!r}")
+        m = 2.0 * n - (self.mm_m_prime if fam == "mm" else 0)
         if not math.isfinite(m):
             raise UsageError(f"photon number {n!r} gives a non-finite top Fock index")
         if abs(m - round(m)) > 1e-9:
@@ -198,9 +199,8 @@ def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
             best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points,
                                                             table_for(eta))
             columns = dict(min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
-        elif cfg.state_family in ("mm", "no"):
-            m_prime = cfg.mm_m_prime if cfg.state_family == "mm" else 0
-            best, phi_star = _mm_row(MmStateSpec(m, m_prime), eta, table_for(eta))
+        elif cfg.state_family == "mm":
+            best, phi_star = _mm_row(MmStateSpec(m, cfg.mm_m_prime), eta, table_for(eta))
             columns = dict(mm_error=best, argmin_phi=phi_star)
         point = CurvePoint(
             sweep=value,

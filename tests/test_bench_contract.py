@@ -72,3 +72,19 @@ def test_verify_accepts_the_default_golden(bench):
     verify = bench("verify")
     golden = GOLDEN.read_text(encoding="utf-8")
     assert verify.check_csv(golden, verify.sweep_config([]), golden) == {}
+
+
+def test_every_workload_command_line_runs_and_verifies(bench, tmp_path):
+    # the benchmark's own command lines, seeds 0-3: a flag or family value that
+    # a workload sends and the CLI no longer accepts fails here, not only in
+    # the benchmark's own tests; default-sweep at seed 0 is checked against
+    # the default golden, as bench/run.py checks it
+    workloads, verify = bench("workloads"), bench("verify")
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(4):
+            args = workload.argv(seed)
+            out = tmp_path / f"{name}-{seed}.csv"
+            assert main([*args, "--out", str(out)]) == 0, (name, seed)
+            golden = GOLDEN.read_text(encoding="utf-8") if (name, seed) == ("default-sweep", 0) else None
+            problems = verify.check_csv(out.read_text(encoding="utf-8"), verify.sweep_config(args), golden)
+            assert problems == {}, (name, seed)

@@ -156,8 +156,12 @@ class TestExitCodes:
         ([], b"\xef\xbb\xbfaxis=diagonal\n", "unknown axis 'diagonal'"),  # not key '\ufeffaxis'
         ([], b"family=mm\nn-min=\xff\n", "run.conf:2: byte 16 (0xff) is not UTF-8"),
         ([], b"\xef\xbb\xbfn-min=\xff\n", "run.conf:1: byte 9 (0xff) is not UTF-8"),
+        # the retired M&M state at m_prime = 0 is --family mm --m-prime 0
+        (["--family", "no"], b"", "invalid choice: 'no'"),
+        ([], b"family=no\n", "unknown family 'no'"),
     ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-file",
-            "axis-after-byte-order-mark", "undecodable-byte", "undecodable-after-byte-order-mark"])
+            "axis-after-byte-order-mark", "undecodable-byte", "undecodable-after-byte-order-mark",
+            "retired-no-family", "retired-no-family-from-file"])
     def test_usage_error_from_out_of_range_setting(self, argv, conf, message, tmp_path, capsys):
         conf_path = tmp_path / "run.conf"
         conf_path.write_bytes(conf)

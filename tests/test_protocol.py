@@ -238,7 +238,7 @@ def largest_table():
 
 def _lag_weights(d: int, eta: float, k: int) -> np.ndarray:
     """W_k: loss at eta on the lag-k diagonal of a d x d matrix."""
-    amp = _loss_table(d, eta)[0]
+    amp = _loss_table(d, eta)
     return amp[: d - k, : d - k] * amp[k:, k:]
 
 
@@ -331,7 +331,7 @@ class TestLossMap:
         kept, lost = n[:, None], np.maximum(n[None, :] - n[:, None], 0)
         want = np.sqrt(binomial_table(d - 1).T * eta**kept * (1.0 - eta) ** lost)
         for binom in (None, largest_table):
-            got = _loss_table(d, eta, binom)[0]
+            got = _loss_table(d, eta, binom)
             assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -342,14 +342,12 @@ class TestLossMap:
         # d = 182 on; the table is C order at every d, so that a block cut from
         # a larger table, as a sweep passes it to every row, has the bits of
         # the smaller table
-        amp, w0 = _loss_table(d, 0.9)
-        assert amp.flags.c_contiguous and w0.flags.c_contiguous
-        assert np.array_equal(w0, amp * amp)
+        assert _loss_table(d, 0.9).flags.c_contiguous
 
-    def test_table_build_holds_only_the_two_arrays_it_returns(self, largest_table):
-        # amp and W_0 are the only d x d arrays the build allocates, 2.0 d^2
-        # doubles; gathering the (1-eta) powers through a d x d index table
-        # instead of the Toeplitz view takes the peak to 3.0 d^2
+    def test_table_build_holds_only_the_array_it_returns(self, largest_table):
+        # amp is the only d x d array the build allocates, 1.0 d^2 doubles;
+        # gathering the (1-eta) powers through a d x d index table instead of
+        # the Toeplitz view takes the peak to 3.0 d^2
         d = 1001
         tracemalloc.start()
         try:
@@ -357,7 +355,7 @@ class TestLossMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * d * d * 8
+        assert peak <= 1.1 * d * d * 8
 
     def test_overflowing_binomials_raise(self, largest_table):
         # binomials of 1030 overflow double: the check comes before any table is
@@ -430,9 +428,9 @@ class TestBlockedRoute:
 
     def test_peak_memory_is_the_tables_and_one_block(self, largest_table):
         # tracemalloc sees numpy's arrays, not OpenBLAS's packing buffers.  At
-        # m = 1000 the loss table (amp and W_0, 2 d^2 doubles) is built in place,
-        # and the blocked route adds the lags (d^2 / 2) and one block of 64
-        # lags; products over all lags at once peak at 8.0 d^2
+        # m = 1000 the loss table (amp, d^2 doubles) is built in place, and the
+        # blocked route adds W_0 = amp^2 (d^2), the lags (d^2 / 2) and one block
+        # of 64 lags; products over all lags at once peak at 8.0 d^2
         d = 1001
         amps = _sine_amplitudes(d - 1)
         tracemalloc.start()
@@ -441,17 +439,7 @@ class TestBlockedRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * d * d * 8
-
-    def test_bits_do_not_follow_the_table_memory_order(self):
-        # the blocked lags read only W_0, so an F-order amp leaves them as they
-        # are; the loop's lag 1 reads amp and follows its order
-        amps = _sine_amplitudes(100)
-        amp, w0 = _loss_table(101, 0.9)
-        want = _round_trip(amps, 0.9, (amp, w0))
-        got = _round_trip(amps, 0.9, (np.asfortranarray(amp), w0))
-        blocked = range(_LOOP_LOW_LAGS, 101)
-        assert all(np.array_equal(got[k], want[k]) for k in blocked)
+        assert peak <= 3.0 * d * d * 8
 
     # cut from tables of every size up to the binomial limit: loop lags 0 and 1
     # at d = 181 and 182 (numpy's own order flips there), M&M splittings, the
@@ -525,6 +513,8 @@ class TestOptimalStateOutput:
             optimal_state_output(0, 0.9, 0.1)
         with pytest.raises(ValueError):
             optimal_state_output(3, 0.0, 0.1)
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            optimal_state_output(2.5, 0.9, 0.0)
 
 
 class TestMmStateOutput:
@@ -678,6 +668,14 @@ class TestMmClosedForm:
 
 
 class TestValidateClosedForms:
+    @pytest.mark.parametrize("max_m, message", [
+        (0, "max_m must be >= 1"),  # a report of no cells has no max_dev
+        (2.5, "max_m must be an integer, got 2.5"),
+    ])
+    def test_rejects_bad_max_m(self, max_m, message):
+        with pytest.raises(ValueError, match=message):
+            validate_closed_forms(max_m)
+
     def test_small_sweep_passes(self, tmp_path):
         report = validate_closed_forms(4)
         assert report.passed

@@ -42,6 +42,11 @@ class TestOptimalPhaseState:
         with pytest.raises(ValueError):
             optimal_phase_state(0)
 
+    def test_rejects_non_integer_m(self):
+        # m = 2.5 would give a 4-level state that is no sine state at all
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            optimal_phase_state(2.5)
+
 
 class TestMmState:
     def test_amplitudes(self):

@@ -85,6 +85,9 @@ class TestConfigValidation:
     def test_rejects_unknown_family(self, tmp_path):
         with pytest.raises(UsageError, match="family"):
             small_cfg(tmp_path, state_family="squeezed").check()
+        # retired: the M&M state at m_prime = 0 is state_family="mm", mm_m_prime=0
+        with pytest.raises(UsageError, match="unknown family 'no'"):
+            small_cfg(tmp_path, state_family="no").check()
 
     def test_rejects_empty_range(self, tmp_path):
         with pytest.raises(UsageError, match="max"):
@@ -130,9 +133,25 @@ class TestConfigValidation:
             small_cfg(tmp_path, fixed_eta=1.2).check()
 
     def test_rejects_fractional_n_for_integer_families(self, tmp_path):
-        cfg = small_cfg(tmp_path, state_family="no", n_range=(2.5, 3.5, 1.0))
+        cfg = small_cfg(tmp_path, state_family="noon", n_range=(2.5, 3.5, 1.0))
         with pytest.raises(UsageError, match="integer"):
             cfg.check()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mm_m_prime", 3.0, "m-prime must be an integer, got 3.0"),
+        ("phi_grid_points", 720.0, "phi grid must be an integer, got 720.0"),
+    ])
+    def test_rejects_non_integer_counts(self, field, value, message, tmp_path):
+        cfg = small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0), **{field: value})
+        with pytest.raises(UsageError, match=message):
+            run_sweep(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_accepts_numpy_integer_counts(self, tmp_path):
+        want = run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0)))
+        got = run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 6.0, 1.0),
+                                  mm_m_prime=np.int64(3), phi_grid_points=np.int32(180)))
+        assert got.rows == want.rows
 
     def test_half_integer_n_allowed_for_optimal(self, tmp_path):
         cfg = small_cfg(tmp_path, n_range=(1.5, 3.0, 0.5))
@@ -472,10 +491,11 @@ class TestRunSweep:
             assert row.mm_error is None
             assert row.min_rms is not None
 
-    def test_no_family_noiseless_hits_half_inverse_n(self, tmp_path):
+    def test_mm_at_m_prime_0_noiseless_hits_half_inverse_n(self, tmp_path):
         cfg = small_cfg(
             tmp_path,
-            state_family="no",
+            state_family="mm",
+            mm_m_prime=0,
             fixed_eta=1.0,
             n_range=(1.0, 6.0, 1.0),
             phi_grid_points=360,
@@ -622,13 +642,13 @@ def test_cli_reproduces_the_validation_report_goldens(tmp_path):
         assert got == (GOLDEN_DIR / f"validation_n2_12.{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("family", ["mm", "no"])
-def test_mm_rows_do_not_depend_on_the_phase_grid(family, tmp_path):
+@pytest.mark.parametrize("m_prime", ["3", "0"], ids=["mm", "mm-m-prime-0"])
+def test_mm_rows_do_not_depend_on_the_phase_grid(m_prime, tmp_path):
     outs = []
     for grid in (4, 90, 720):
-        outs.append(tmp_path / f"{family}-{grid}.csv")
+        outs.append(tmp_path / f"{grid}.csv")
         assert cli_main([
-            "--family", family, "--eta", "0.7", "--n-min", "5", "--n-max", "20",
+            "--family", "mm", "--m-prime", m_prime, "--eta", "0.7", "--n-min", "5", "--n-max", "20",
             "--phi-grid", str(grid), "--out", str(outs[-1]),
         ]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
