@@ -32,9 +32,8 @@ _EXPORTS = {  # home module -> the public names it defines
     ),
     "estimation": (
         "OutcomeDistribution", "circular_distance", "circular_rms", "holevo_variance",
-        "mm_error_terms", "mm_observable", "mm_phase_error", "noon_observable",
-        "noon_phase_error_brute", "optimal_outcome_distribution", "phase_error_summary",
-        "povm_distribution",
+        "mm_error_terms", "mm_observable", "mm_phase_error", "noon_phase_error_brute",
+        "optimal_outcome_distribution", "phase_error_summary", "povm_distribution",
     ),
     "sweep": (
         "CSV_HEADER", "CurvePoint", "SweepConfig", "SweepSummary", "UsageError",

@@ -47,7 +47,7 @@ def _parse_bool(raw: str) -> bool:
 # key -> (SweepConfig field or None, slot in its (min, max, step) range or None,
 #         value parser, help text); booleans are store_true flags
 KEYS = {
-    "family": ("state_family", None, str, "input-state family (noon emits baseline columns only)"),
+    "family": ("state_family", None, str, "input-state family"),
     "axis": ("sweep_axis", None, str, "sweep over photon number n or transmissivity eta"),
     "eta": ("fixed_eta", None, float, "fixed transmissivity for axis n"),
     "n": ("fixed_n", None, float, "fixed photon number for axis eta"),

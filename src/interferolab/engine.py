@@ -291,7 +291,9 @@ def mm_phase_error_closed(terms: MmErrorTerms, phi: float) -> float:
 
 
 class Baselines(namedtuple("Baselines", "shot_noise heisenberg noon_error")):
-    """Reference phase errors at mean photon number n and transmissivity eta."""
+    """Reference phase errors at mean photon number n and transmissivity eta;
+    ``noon_error`` is None unless n is within 1e-9 (a sweep's top-index
+    tolerance) of an integer, since no NOON state has a fractional n."""
 
     __slots__ = ()
 
@@ -310,15 +312,16 @@ def noon_phase_error(n: int, eta: float, phi: float) -> float:
 
 
 def baselines(n: float, eta: float) -> Baselines:
-    """Shot-noise, Heisenberg and minimized lossy-NOON reference errors."""
+    """Shot-noise, Heisenberg and minimized lossy-NOON reference errors; the
+    NOON error is inf where n eta^(n/2) underflows, as it is above every double."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_eta(eta)
-    return Baselines(
-        shot_noise=1.0 / math.sqrt(n * eta),
-        heisenberg=1.0 / n,
-        noon_error=1.0 / (n * eta ** (n / 2.0)),
-    )
+    noon = None
+    if math.isfinite(n) and abs(n - round(n)) <= 1e-9:
+        factor = n * eta ** (n / 2.0)
+        noon = 1.0 / factor if factor else math.inf
+    return Baselines(shot_noise=1.0 / math.sqrt(n * eta), heisenberg=1.0 / n, noon_error=noon)
 
 
 TWO_PI = 2.0 * math.pi

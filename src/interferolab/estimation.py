@@ -7,8 +7,8 @@ off the round trip's lags, the phase given per call), the reference
 phase scanner, and the lossy-NOON brute force.  The closed forms a sweep
 row reads (the Holevo dispersion of a coherence sum, the two-component
 error terms, the shot-noise / Heisenberg / lossy-NOON baselines) live in
-``engine``.  The NOON brute force builds one loss channel per call and
-applies it to each arm's indices in turn.
+``engine``.  The NOON brute force builds its observable and one loss channel
+per call, and applies the channel to each arm's indices in turn.
 """
 
 from __future__ import annotations
@@ -197,15 +197,6 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720):
     return float(phi_star), float(best), avg
 
 
-def noon_observable(n: int) -> np.ndarray:
-    """Coherence observable |n,0><0,n| + |0,n><n,0| on the flattened basis."""
-    d = n + 1
-    a = np.zeros((d * d, d * d))
-    hi, lo = n * d, n  # flat indices of |n,0> and |0,n>
-    a[hi, lo] = a[lo, hi] = 1.0
-    return a
-
-
 def _noon_output(n: int, kraus: np.ndarray, phi: float) -> DensityMatrix:
     """The NOON state at phase phi after the loss Kraus stack on each arm in turn:
     as a tensor rho[a, b, a', b'] (arm 1 on a, a'; arm 2 on b, b'), it takes
@@ -226,8 +217,11 @@ def noon_phase_error_brute(n: int, eta: float, phi: float) -> float:
     The slope of the observable mean is taken by central finite
     difference, so this path is independent of the closed form.
     """
-    a = noon_observable(n)
-    kraus = loss_channel(eta, n + 1).kraus
+    d = n + 1
+    a = np.zeros((d * d, d * d))
+    hi, lo = n * d, n  # flat indices of |n,0> and |0,n>
+    a[hi, lo] = a[lo, hi] = 1.0  # the observable |n,0><0,n| + |0,n><n,0|
+    kraus = loss_channel(eta, d).kraus
     rho = _noon_output(n, kraus, phi)
     mean = expectation(rho, a)
     var = max(expectation(rho, a @ a) - mean**2, 0.0)

@@ -202,12 +202,13 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
     every (eta, phi) cell of every m <= max_m, for the sine state and a few M&M
     splittings, recording the worst elementwise deviation per cell.  Each (m, eta)
     runs one lag round trip per state, whose lags serve every phase, and one Kraus
-    round trip on the stack of its states at all phases, checked at once, with one
-    loss channel built for both arms.  The lag round trips read one loss table per
-    eta, built for max_m from one binomial table."""
+    round trip on the stack of its states at all phases, checked at once.  Per eta,
+    one loss table (from one binomial table) and one loss channel are built for
+    max_m; each m reads their top-left blocks, which a smaller build would give."""
     _check_top(max_m, "max_m")
     binom = binomial_table(max_m)
     tables = {eta: _loss_table(max_m + 1, eta, binom) for eta in _VALIDATION_ETAS}
+    channels = {eta: loss_channel(eta, max_m + 1).kraus for eta in _VALIDATION_ETAS}
     phis = np.array(_VALIDATION_PHIS)[:, None]  # the stack: phases down, states across
     cells = []
     for m in range(1, max_m + 1):
@@ -216,7 +217,7 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
         for eta in _VALIDATION_ETAS:
             amps = [_sine_amplitudes(m)] + [_mm_amplitudes(spec) for spec in specs]
             kets = np.array(amps, dtype=complex)
-            loss = loss_channel(eta, m + 1).kraus
+            loss = np.ascontiguousarray(channels[eta][: m + 1, : m + 1, : m + 1])
             oracle = _kraus_round_trip(kets[:, :, None] * kets[:, None, :].conj(), phis,
                                        _VALIDATION_THETA, loss, loss)
             _check_density(oracle)

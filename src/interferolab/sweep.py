@@ -3,11 +3,12 @@
 A sweep walks one axis (mean photon number n, or transmissivity eta) for
 one input-state family and writes a row of error figures per value,
 together with the shot-noise, Heisenberg and lossy-NOON reference
-columns and an empty slot for externally supplied comparison data.
-Rows are pure functions of the configuration, so repeated runs emit
-byte-identical files.  This module needs the standard library only, and no
-``dataclasses``: its three value types are NamedTuples, and every row figure
-comes from ``engine``, which loads with numpy at the first row.
+columns (NOON empty at a fractional photon number: no such state exists)
+and an empty slot for comparison data.  Rows are pure functions of the
+configuration, so repeated runs emit byte-identical files.  This module
+needs the standard library only, and no ``dataclasses``: its three value
+types are NamedTuples, and every row figure comes from ``engine``, which
+loads with numpy at the first row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     from .protocol import ValidationReport
 
-FAMILIES = ("optimal", "mm", "noon")
+FAMILIES = ("optimal", "mm")
 
 MAX_ROWS = 100_000  # far above any real sweep; a longer range is a mistyped step
 MAX_PHI_GRID = 1_000_000  # a row folds the grid through about 24 bytes per point
@@ -109,8 +110,6 @@ class SweepConfig(NamedTuple):
     def _top_index(self, n: float) -> int:
         """Largest Fock index of the input for mean photon number n."""
         fam = self.state_family
-        if fam == "noon" and abs(n - round(n)) > 1e-9:
-            raise UsageError(f"family {fam!r} needs integer photon numbers, got {n!r}")
         m = 2.0 * n - (self.mm_m_prime if fam == "mm" else 0)
         if not math.isfinite(m):
             raise UsageError(f"photon number {n!r} gives a non-finite top Fock index")
@@ -181,7 +180,7 @@ class SweepSummary(NamedTuple):
 
 def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
     """The row at sweep value ``value``; ``table_for(eta)`` gives the loss table
-    of its transmissivity, read only by the families that run a round trip."""
+    of its transmissivity."""
     from .engine import MmStateSpec, _check_rows, _mm_row, _optimal_fast_row, baselines
 
     if cfg.sweep_axis == "n":
@@ -191,15 +190,13 @@ def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
     m = cfg._top_index(n)
     where = f"sweep={format_float(value)} (top index {m})"
     try:
-        if cfg.state_family != "noon":  # a round trip past the binomial limit fails
-            _check_rows(m + 1)  # before its amplitudes or loss table are built
+        _check_rows(m + 1)  # past the binomial limit, fail before building anything
         base = baselines(n, eta)
-        columns = {}
         if cfg.state_family == "optimal":
             best, phi_star, avg, holevo = _optimal_fast_row(m, eta, cfg.phi_grid_points,
                                                             table_for(eta))
             columns = dict(min_rms=best, argmin_phi=phi_star, avg_rms=avg, holevo=holevo)
-        elif cfg.state_family == "mm":
+        else:
             best, phi_star = _mm_row(MmStateSpec(m, cfg.mm_m_prime), eta, table_for(eta))
             columns = dict(mm_error=best, argmin_phi=phi_star)
         point = CurvePoint(
@@ -262,7 +259,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
 
     from .engine import _loss_tables  # numpy and the row figures load here
 
-    table_for = _loss_tables(top)  # a noon sweep's rows read none, so it builds none
+    table_for = _loss_tables(top)
     rows = [_compute_row(cfg, v, table_for) for v in values]
     rows, unmatched = _with_external(rows, external)
 

@@ -57,10 +57,14 @@ def test_verify_imports(bench):
     assert callable(verify.check_csv)
 
 
+# the checker reads baselines(), so it agrees with the empty noon cell of a
+# half-integer row
 @pytest.mark.parametrize("args", [
     ["--family", "optimal", "--n-min", "2", "--n-max", "4", "--validate"],
     ["--family", "mm", "--n-min", "5", "--n-max", "7", "--validate"],
-], ids=["optimal", "mm"])
+    ["--family", "optimal", "--n-min", "1.5", "--n-max", "6", "--n-step", "0.5"],
+    ["--family", "mm", "--m-prime", "0", "--n-min", "1.5", "--n-max", "6", "--n-step", "0.5"],
+], ids=["optimal", "mm", "optimal-half-integer", "mm-half-integer"])
 def test_verify_accepts_cli_csv(bench, tmp_path, args):
     verify = bench("verify")
     out = tmp_path / "s.csv"

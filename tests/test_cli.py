@@ -159,9 +159,13 @@ class TestExitCodes:
         # the retired M&M state at m_prime = 0 is --family mm --m-prime 0
         (["--family", "no"], b"", "invalid choice: 'no'"),
         ([], b"family=no\n", "unknown family 'no'"),
+        # every family prints the three reference columns a noon row printed
+        (["--family", "noon"], b"", "invalid choice: 'noon'"),
+        ([], b"family=noon\n", "unknown family 'noon'"),
     ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-file",
             "axis-after-byte-order-mark", "undecodable-byte", "undecodable-after-byte-order-mark",
-            "retired-no-family", "retired-no-family-from-file"])
+            "retired-no-family", "retired-no-family-from-file", "retired-noon-family",
+            "retired-noon-family-from-file"])
     def test_usage_error_from_out_of_range_setting(self, argv, conf, message, tmp_path, capsys):
         conf_path = tmp_path / "run.conf"
         conf_path.write_bytes(conf)
@@ -457,8 +461,8 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv", [
         ["--family", "optimal", "--n-max", "6", "--emit-plot"],
         ["--family", "mm", "--n-min", "5", "--n-max", "8", "--validate"],
-        ["--family", "noon", "--n-max", "6"],
-    ], ids=["optimal-plot", "mm-validate", "noon"])
+        ["--family", "optimal", "--n-min", "1.5", "--n-max", "3", "--n-step", "0.5"],
+    ], ids=["optimal-plot", "mm-validate", "optimal-half-integer"])
     def test_module_run_matches_in_process_main(self, argv, tmp_path, monkeypatch, capsys):
         argv = [*argv, "--phi-grid", "90", "--out", "x.csv"]
         child, parent = tmp_path / "child", tmp_path / "parent"
@@ -510,21 +514,31 @@ class TestModuleEntryPoint:
         assert "binomials of 1030 overflow" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
-    # transmissivities so small that a baseline or the Holevo dispersion
-    # overflows, divides by zero or prints inf
-    @pytest.mark.parametrize("argv", [
-        ["--family", "optimal", "--n-min", "2", "--n-max", "2", "--eta", "1e-300"],
-        ["--axis", "eta", "--n", "10", "--eta-min", "1e-80", "--eta-max", "1e-80",
-         "--eta-step", "0.1"],
-        ["--family", "noon", "--axis", "eta", "--n", "10", "--eta-min", "1e-63",
-         "--eta-max", "1e-63", "--eta-step", "0.1"],
+    # transmissivities so small that the Holevo dispersion overflows or the
+    # NOON error is inf: above every double, or with its factor n * eta^(n/2)
+    # underflowed to zero
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "optimal", "--n-min", "2", "--n-max", "2", "--eta", "1e-300"], None),
+        (["--axis", "eta", "--n", "10", "--eta-min", "1e-80", "--eta-max", "1e-80",
+          "--eta-step", "0.1"], "noon is inf"),
+        (["--family", "optimal", "--axis", "eta", "--n", "10", "--eta-min", "1e-63",
+          "--eta-max", "1e-63", "--eta-step", "0.1"], "noon is inf"),
     ], ids=["holevo-overflow", "noon-zero-division", "noon-inf"])
-    def test_tiny_transmissivity_is_a_validation_failure(self, argv, tmp_path):
+    def test_tiny_transmissivity_is_a_validation_failure(self, argv, message, tmp_path):
         proc = self.run_module([*argv, "--phi-grid", "8", "--out", "x.csv"], tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith("validation failure:")
+        assert message is None or message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    def test_readme_option_table_lists_every_key_and_family(self):
+        table = [line for line in (self.ROOT / "README.md").read_text(encoding="utf-8")
+                 .splitlines() if line.startswith("| `--")]
+        assert {f"--{key}" for key in KEYS} | {"--config"} <= {
+            flag for line in table for flag in re.findall(r"--[a-z-]+", line)}
+        families = [re.search(r"`--family \{([a-z,]+)\}`", line) for line in table]
+        assert [m[1].split(",") for m in families if m] == [list(sweep_mod.FAMILIES)]
 
     def test_help_lists_every_key(self, tmp_path):
         proc = self.run_module(["--help"], tmp_path)

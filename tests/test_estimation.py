@@ -307,13 +307,30 @@ class TestBaselines:
     @example(n=1e300, eta=1.0)
     def test_heisenberg_never_above_shot_noise(self, n, eta):
         # fl(n*eta) <= n and fl(sqrt(fl(n*eta))) <= n, and 1/x rounds
-        # monotonically, so the ordering holds exactly, with no tolerance
-        try:
-            b = baselines(n, eta)
-        except ZeroDivisionError:  # only the NOON factor n * eta^(n/2) can reach 0
-            assert n * eta ** (n / 2.0) == 0.0
-            return
+        # monotonically, so the ordering holds exactly, with no tolerance;
+        # likewise fl(n * eta^(n/2)) <= n puts the NOON error at or above
+        # Heisenberg, inf where that factor is 0 (or so small that 1/x overflows)
+        b = baselines(n, eta)
         assert b.heisenberg <= b.shot_noise
+        if abs(n - round(n)) > 1e-9:
+            assert b.noon_error is None
+        else:
+            assert b.heisenberg <= b.noon_error
+            assert n * eta ** (n / 2.0) > 0.0 or b.noon_error == math.inf
+
+    def test_noon_error_only_at_integer_n(self):
+        # integer to within 1e-9, the tolerance of a sweep's top index
+        assert baselines(2.5, 0.9).noon_error is None
+        assert baselines(3.0 + 1e-8, 0.9).noon_error is None
+        assert baselines(3.0 + 1e-12, 0.9).noon_error == pytest.approx(
+            baselines(3, 0.9).noon_error, rel=1e-11)
+        assert baselines(10, 1e-80).noon_error == math.inf
+
+    def test_past_the_binomial_limit(self):
+        # no sweep row runs at N >= 515 (binomials of 1030 overflow); the
+        # baselines have no such limit
+        b = baselines(600, 1.0)
+        assert b == (1.0 / math.sqrt(600), 1.0 / 600, 1.0 / 600)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

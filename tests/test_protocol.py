@@ -720,6 +720,17 @@ class TestValidateClosedForms:
                for c in validate_closed_forms(max_m).cells]
         assert got == want
 
+    @pytest.mark.parametrize("eta", protocol_mod._VALIDATION_ETAS)
+    def test_a_block_of_a_larger_channel_is_the_smaller_channel(self, eta):
+        # the gate builds one loss channel per eta for its max_m and hands each m
+        # the top-left block: a Kraus element does not depend on the dimension,
+        # and loss never adds photons, so the block is the smaller channel, bit
+        # for bit and with as many Kraus matrices
+        big = loss_channel(eta, 13).kraus
+        for d in range(1, 14):
+            block = np.ascontiguousarray(big[:d, :d, :d])
+            assert np.array_equal(block, loss_channel(eta, d).kraus), d
+
     def test_one_stacked_round_trip_per_m_and_eta(self, monkeypatch):
         # 8 values of m times 3 transmissivities: each (m, eta) pushes the stack
         # of its 3 phases x (the sine state and its M&M splittings) through one

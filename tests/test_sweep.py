@@ -88,6 +88,9 @@ class TestConfigValidation:
         # retired: the M&M state at m_prime = 0 is state_family="mm", mm_m_prime=0
         with pytest.raises(UsageError, match="unknown family 'no'"):
             small_cfg(tmp_path, state_family="no").check()
+        # retired: every family prints the shot-noise, Heisenberg and NOON columns
+        with pytest.raises(UsageError, match="unknown family 'noon'"):
+            small_cfg(tmp_path, state_family="noon").check()
 
     def test_rejects_empty_range(self, tmp_path):
         with pytest.raises(UsageError, match="max"):
@@ -132,10 +135,19 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="transmissivity"):
             small_cfg(tmp_path, fixed_eta=1.2).check()
 
-    def test_rejects_fractional_n_for_integer_families(self, tmp_path):
-        cfg = small_cfg(tmp_path, state_family="noon", n_range=(2.5, 3.5, 1.0))
-        with pytest.raises(UsageError, match="integer"):
-            cfg.check()
+    @pytest.mark.parametrize("kw, column", [
+        (dict(n_range=(1.5, 4.0, 0.5)), "min_rms"),
+        (dict(state_family="mm", mm_m_prime=0, n_range=(1.5, 4.0, 0.5)), "mm_error"),
+        (dict(state_family="mm", mm_m_prime=3, n_range=(3.5, 6.0, 0.5)), "mm_error"),
+    ], ids=["optimal", "mm-0", "mm-3"])
+    def test_noon_cell_empty_at_half_integer_n(self, kw, column, tmp_path):
+        # no NOON state has a fractional photon number; the row's own columns
+        # and the other two references are filled all the same
+        summary = run_sweep(small_cfg(tmp_path, **kw))
+        for row in summary.rows:
+            assert getattr(row, column) is not None
+            assert row.shot_noise is not None and row.heisenberg is not None
+            assert (row.noon is None) == (row.sweep % 1 == 0.5), row.sweep
 
     @pytest.mark.parametrize("field, value, message", [
         ("mm_m_prime", 3.0, "m-prime must be an integer, got 3.0"),
@@ -426,8 +438,8 @@ class TestRunSweep:
         # count, and a sweep over eta one per row from one binomial table; with
         # --validate the gate adds one binomial table, one loss table per eta,
         # one stacked Kraus round trip per (m, eta) and one loss channel per
-        # (m, eta) for both arms, with its binomial table, on every run, since
-        # nothing is cached; noon rows use no table, so a noon sweep builds none
+        # eta for both arms, with its binomial table, whose top-left blocks serve
+        # every m, on every run, since nothing is cached
         tables, loss_tables, stacks, channels = [], [], [], []
         kraus_round_trip = protocol_mod._kraus_round_trip
         loss_channel = protocol_mod.loss_channel
@@ -462,12 +474,11 @@ class TestRunSweep:
             (dict(state_family="mm", n_range=(5.0, 60.0, 1.0)), 117, [(118, 0.9)]),
             (dict(sweep_axis="eta", fixed_n=8.0, eta_range=(0.5, 1.0, 0.05)), 16,
              [(17, eta) for eta in etas]),
-            (dict(state_family="noon", n_range=(2.0, 400.0, 1.0)), None, []),
         ]:
             tables.clear()
             loss_tables.clear()
             run_sweep(small_cfg(tmp_path, **kw))
-            assert tables == ([] if top is None else [top])
+            assert tables == [top]
             assert loss_tables == want_loss_tables
         assert stacks == channels == []
         for _ in range(2):
@@ -475,10 +486,10 @@ class TestRunSweep:
                 calls.clear()
             run_sweep(small_cfg(tmp_path, state_family="mm", n_range=(5.0, 30.0, 1.0),
                                 validate=True))
-            assert tables == [8] + [m for m in range(1, 9) for _ in range(3)] + [57]
+            assert tables == [8, 8, 8, 8, 57]
             assert loss_tables == [(9, 0.5), (9, 0.9), (9, 1.0), (58, 0.9)]
             assert len(stacks) == 24
-            assert channels == [(eta, m + 1) for m in range(1, 9) for eta in (0.5, 0.9, 1.0)]
+            assert channels == [(0.5, 9), (0.9, 9), (1.0, 9)]
 
     def test_header_and_shape(self, tmp_path):
         summary = run_sweep(small_cfg(tmp_path))
@@ -534,21 +545,6 @@ class TestRunSweep:
             warnings.simplefilter("error")
             summary = run_sweep(cfg)
         assert all(r.mm_error is not None for r in summary.rows)
-
-    def test_noon_family_rows_only_carry_baselines(self, tmp_path):
-        cfg = small_cfg(tmp_path, state_family="noon", n_range=(2.0, 4.0, 1.0))
-        summary = run_sweep(cfg)
-        for row in summary.rows:
-            assert row.min_rms is None and row.mm_error is None
-            assert row.noon is not None
-
-    def test_noon_rows_past_the_binomial_limit_run(self, tmp_path):
-        # the binomial limit bounds the round trip, which noon rows do not run
-        cfg = small_cfg(tmp_path, state_family="noon", fixed_eta=1.0,
-                        n_range=(600.0, 602.0, 1.0))
-        summary = run_sweep(cfg)
-        assert [row.sweep for row in summary.rows] == [600.0, 601.0, 602.0]
-        assert len((tmp_path / "out.csv").read_text().splitlines()) == 4
 
     def test_row_past_the_binomial_limit_builds_no_table(self, tmp_path, monkeypatch):
         # the row fails on its top index before it asks for its loss table
