@@ -14,7 +14,8 @@ only here: ``sweep`` loads this module when its first row runs, and
 names their own code uses.  It loads no ``dataclasses``: its three value
 types, ``MmStateSpec``, ``MmErrorTerms`` and ``Baselines``, are immutable
 named tuples, and the first two check their fields in ``__new__``, so
-``_replace`` checks them too.
+``_replace`` checks them too.  Each kind of argument has one check, here:
+``_check_eta`` (transmissivity), ``_check_top`` (size or count), ``_check_phase``.
 """
 
 from __future__ import annotations
@@ -57,13 +58,18 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta!r}")
 
 
-def _check_top(m, name: str = "m") -> None:
+def _check_top(m, name: str = "m", least: int = 1) -> None:
     try:
         operator.index(m)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {m!r}") from None
-    if m < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if m < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_phase(phi, name: str = "phi") -> None:
+    if not math.isfinite(phi):
+        raise ValueError(f"{name} must be finite")
 
 
 class MmStateSpec(namedtuple("MmStateSpec", "m m_prime")):
@@ -72,7 +78,9 @@ class MmStateSpec(namedtuple("MmStateSpec", "m m_prime")):
     __slots__ = ()
 
     def __new__(cls, m: int, m_prime: int):
-        if not (m > m_prime >= 0):
+        _check_top(m_prime, "m_prime", least=0)
+        _check_top(m)
+        if not m > m_prime:
             raise ValueError(f"need m > m_prime >= 0, got ({m}, {m_prime})")
         return super().__new__(cls, m, m_prime)
 
@@ -171,7 +179,6 @@ def _round_trip(amps: np.ndarray, eta: float, table=None) -> dict:
     table is C order at every d.
     """
     d = amps.size
-    _check_rows(d)  # a shared table stops at the limit; a larger row fails here
     if table is None:
         table = _loss_table(d, eta)
     ks = _occupied_lags(amps)
@@ -275,6 +282,7 @@ def _mm_error_terms(spec: MmStateSpec, lags: dict) -> MmErrorTerms:
 
 
 def _propagated_error(mean_square: float, coherence: float, delta: int, phi: float) -> float:
+    _check_phase(phi)
     # variance at the working point, written as (MS - C^2) + C^2 sin^2 to
     # avoid the 1 - cos^2 cancellation that otherwise poisons eta -> 1
     sin = math.sin(delta * phi)
@@ -305,8 +313,7 @@ def noon_phase_error(n: int, eta: float, phi: float) -> float:
     square eta^n, minimized at n*phi = pi/2 where the error becomes
     1/(n * eta^(n/2)).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_top(n, "n")
     _check_eta(eta)
     return _propagated_error(eta**n, eta**n, n, phi)
 
@@ -314,11 +321,11 @@ def noon_phase_error(n: int, eta: float, phi: float) -> float:
 def baselines(n: float, eta: float) -> Baselines:
     """Shot-noise, Heisenberg and minimized lossy-NOON reference errors; the
     NOON error is inf where n eta^(n/2) underflows, as it is above every double."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n < math.inf:  # written so that NaN fails too
+        raise ValueError(f"n must be finite and >= 1, got {n!r}")
     _check_eta(eta)
     noon = None
-    if math.isfinite(n) and abs(n - round(n)) <= 1e-9:
+    if abs(n - round(n)) <= 1e-9:
         factor = n * eta ** (n / 2.0)
         noon = 1.0 / factor if factor else math.inf
     return Baselines(shot_noise=1.0 / math.sqrt(n * eta), heisenberg=1.0 / n, noon_error=noon)

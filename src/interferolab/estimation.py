@@ -22,6 +22,8 @@ import numpy as np
 from .engine import (
     MmErrorTerms,
     MmStateSpec,
+    _check_phase,
+    _check_top,
     _holevo_dispersion,
     _mm_error_terms,
     _propagated_error,
@@ -58,6 +60,7 @@ class OutcomeDistribution:
             raise ValueError(f"probabilities sum to {total!r}")
         if not float(probs.min()) >= PROB_NEG_TOL:
             raise ValueError(f"negative probability {probs.min()!r}")
+        _check_phase(true_phi, "true_phi")
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -122,8 +125,7 @@ def mm_observable(m: int, m_prime: int) -> np.ndarray:
     chain instead of forming disjoint two-level blocks; that regime is
     built literally but flagged.
     """
-    if m <= m_prime or m_prime < 0:
-        raise ValueError("need m > m_prime >= 0")
+    MmStateSpec(m, m_prime)  # checks both counts and their order
     if m - m_prime <= m_prime:
         warnings.warn(
             "index families overlap (delta <= m_prime); observable chains basis states",
@@ -181,8 +183,7 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720):
     out of the average; raises ValueError if the function is non-finite
     everywhere.  Tests and demos check closed-form minima against it.
     """
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points")
+    _check_top(grid_points, "grid_points", least=2)
     step = period / grid_points
     xs = step * np.arange(grid_points)
     vals = np.array([float(error_fn(x)) for x in xs])
@@ -217,6 +218,7 @@ def noon_phase_error_brute(n: int, eta: float, phi: float) -> float:
     The slope of the observable mean is taken by central finite
     difference, so this path is independent of the closed form.
     """
+    _check_top(n, "n")
     d = n + 1
     a = np.zeros((d * d, d * d))
     hi, lo = n * d, n  # flat indices of |n,0> and |0,n>

@@ -7,17 +7,17 @@ channel in Kraus form and the Fock-index reversal, a literal d x d
 matrix.  The operators act on density matrices, their array forms on
 stacks of them; everything is a dense numpy array, all containers are
 immutable after construction and every operation is a pure function that
-builds what it returns, with nothing cached.  Every check fails on NaN.
+builds what it returns, with nothing cached.  Every check fails on NaN,
+the engine's checks of each phase, size and transmissivity too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _check_eta, binomial_table
+from .engine import _check_eta, _check_phase, _check_top, binomial_table
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
@@ -128,8 +128,7 @@ class KrausChannel:
 
 def permutation_unitary(dim: int) -> np.ndarray:
     """The index reversal |n> -> |dim-1-n> as a read-only dim x dim matrix."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    _check_top(dim, "dim")
     u = np.eye(dim)[::-1].copy()
     u.setflags(write=False)
     return u
@@ -145,8 +144,7 @@ def _phased(mats: np.ndarray, phis) -> np.ndarray:
 def apply_phase(rho: DensityMatrix, phi: float) -> DensityMatrix:
     """Phase shift exp(i*phi*n): the (n, m) element picks up exp(i*(n-m)*phi),
     so the trace is unchanged."""
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
+    _check_phase(phi)
     return DensityMatrix(_phased(rho.mat, phi), check=False)
 
 
@@ -159,8 +157,7 @@ def loss_channel(eta: float, dim: int) -> KrausChannel:
     Each call builds a fresh channel; its matrices are read-only.
     """
     _check_eta(eta)
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    _check_top(dim, "dim")
     tbl = binomial_table(dim - 1)
     n = np.arange(dim)
     mats = []

@@ -22,7 +22,6 @@ should apply each phase to one phi = 0 output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .engine import (
     MmStateSpec,
     _check_eta,
+    _check_phase,
     _check_top,
     _loss_table,
     _mm_amplitudes,
@@ -58,9 +58,8 @@ class RoundTripConfig:
     eta2: float
 
     def __post_init__(self):
-        for name in ("phi", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_phase(self.phi)
+        _check_phase(self.theta, "theta")
         _check_eta(self.eta1)
         _check_eta(self.eta2)
 
@@ -88,21 +87,19 @@ def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
     return DensityMatrix(roundtrip_step(state.to_density(), cfg).mat, check=True)
 
 
-def _output_matrix(lags, phi: float, check: bool) -> DensityMatrix:
-    """The output at phase phi from its lags at phi = 0 (d x d, d = lag 0's
-    size): the arm twist exp(-i*phi*(n - n')) puts lag k below the diagonal
-    as lag * exp(-i*k*phi) and its conjugate above.  At k = 0 that factor
-    is exactly 1, so the diagonal is real and the matrix exactly Hermitian."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
+def _output_matrix(lags, phis) -> np.ndarray:
+    """The outputs at the phases phis from their lags at phi = 0, as phis.shape + (d, d),
+    d = lag 0's size: the arm twist exp(-i*phi*(n - n')) puts lag k below the diagonal
+    as lag * exp(-i*k*phi) and its conjugate above.  At k = 0 that factor is exactly 1,
+    so each diagonal is real and each matrix exactly Hermitian."""
+    phis = np.asarray(phis, dtype=float)
     d = lags[0].size
-    mat = np.zeros((d, d), dtype=complex)
-    flat = mat.reshape(-1)  # a view: each diagonal is a strided slice of it
+    flat = np.zeros(phis.shape + (d * d,), dtype=complex)  # each diagonal a strided slice
     for k, lag in lags.items():
-        below = lag * np.exp(-1j * k * phi)
-        flat[k * d :: d + 1] = below  # out[i + k, i]
-        flat[k : (d - k) * d : d + 1] = below.conj()  # out[i, i + k]
-    return DensityMatrix(mat, check=check)
+        below = lag * np.exp(-1j * k * phis[..., None])
+        flat[..., k * d :: d + 1] = below  # out[i + k, i]
+        flat[..., k : (d - k) * d : d + 1] = below.conj()  # out[i, i + k]
+    return flat.reshape(phis.shape + (d, d))
 
 
 def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> DensityMatrix:
@@ -112,7 +109,8 @@ def optimal_state_output(m: int, eta: float, phi: float, check: bool = True) -> 
     """
     _check_top(m)
     _check_eta(eta)
-    return _output_matrix(_round_trip(_sine_amplitudes(m), eta), phi, check)
+    _check_phase(phi)
+    return DensityMatrix(_output_matrix(_round_trip(_sine_amplitudes(m), eta), phi), check=check)
 
 
 def mm_output_coefficients(spec: MmStateSpec, eta: float) -> dict:
@@ -127,7 +125,8 @@ def mm_output_coefficients(spec: MmStateSpec, eta: float) -> dict:
 def mm_state_output(spec: MmStateSpec, eta: float, phi: float, check: bool = True) -> DensityMatrix:
     """Round-trip output for the M&M state (single round, equal
     transmissivity in both arms), assembled from its lags."""
-    return _output_matrix(mm_output_coefficients(spec, eta), phi, check)
+    _check_phase(phi)
+    return DensityMatrix(_output_matrix(mm_output_coefficients(spec, eta), phi), check=check)
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,7 @@ def validate_closed_forms(max_m: int) -> ValidationReport:
                                        _VALIDATION_THETA, loss, loss)
             _check_density(oracle)
             lags = [_round_trip(a, eta, tables[eta]) for a in amps]
-            closed = [[_output_matrix(lag, phi, False).mat for lag in lags]
-                      for phi in _VALIDATION_PHIS]
+            closed = np.concatenate([_output_matrix(lag, phis) for lag in lags], axis=1)
             for phi, devs in zip(_VALIDATION_PHIS, np.abs(closed - oracle)):
                 for (form, mp), dev in zip(forms, devs):
                     i, j = divmod(int(dev.argmax()), m + 1)

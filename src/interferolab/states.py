@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MmStateSpec, _check_top, _mm_amplitudes, _sine_amplitudes
+from .engine import MmStateSpec, _check_phase, _check_top, _mm_amplitudes, _sine_amplitudes
 from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, _frozen, loss_channel
 
 
@@ -36,8 +36,7 @@ def mm_state(spec: MmStateSpec) -> FockVector:
 
 def no_state(n: int) -> FockVector:
     """Single-mode analogue of the NOON state: (|2n> + |0>)/sqrt(2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_top(n, "n")
     return mm_state(MmStateSpec(2 * n, 0))
 
 
@@ -47,12 +46,9 @@ def pegg_barnett_vector(m: int, phi_value: float) -> FockVector:
     The m+1 vectors at phi values 2*pi*l/(m+1) are orthonormal and
     resolve the truncated space.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not math.isfinite(phi_value):
-        raise ValueError("phase must be finite")
-    n = np.arange(m + 1)
-    return FockVector(np.exp(1j * n * phi_value) / math.sqrt(m + 1))
+    _check_top(m, least=0)
+    _check_phase(phi_value, "phi_value")
+    return FockVector(np.exp(1j * np.arange(m + 1) * phi_value) / math.sqrt(m + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +79,7 @@ class TwoModeFockVector:
 
 def noon_state(n: int) -> TwoModeFockVector:
     """Two-mode entangled state (|n,0> + |0,n>)/sqrt(2) on (n+1)^2 levels."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_top(n, "n")
     amps = np.zeros((n + 1, n + 1), dtype=complex)
     amps[n, 0] = amps[0, n] = 1.0 / math.sqrt(2.0)
     return TwoModeFockVector(amps)
@@ -102,6 +97,7 @@ def two_mode_loss_channel(eta1: float, eta2: float, dims: tuple) -> KrausChannel
 
 def two_mode_phase(rho: DensityMatrix, phi: float, dims: tuple) -> DensityMatrix:
     """Phase shift exp(i*phi*n1) on the first arm of a flattened two-mode state."""
+    _check_phase(phi)
     d1, d2 = dims
     if rho.dim != d1 * d2:
         raise ValueError("dimension mismatch")

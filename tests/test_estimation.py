@@ -338,6 +338,12 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baselines(5, 0.0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rejects_non_finite_n(self, n):
+        # nan gave nan shot-noise and Heisenberg errors, inf gave 0 for both
+        with pytest.raises(ValueError, match=rf"^n must be finite and >= 1, got {n!r}$"):
+            baselines(n, 0.9)
+
     def test_brute_force_agrees_with_closed_form(self):
         n, eta = 3, 0.8
         fn = lambda phi: noon_phase_error_brute(n, eta, phi)

@@ -17,10 +17,23 @@ from interferolab import (
     baselines,
     expectation,
     loss_channel,
+    mm_observable,
     mm_output_coefficients,
+    mm_phase_error,
+    mm_phase_error_closed,
+    mm_state_output,
+    no_state,
     noon_phase_error,
+    noon_phase_error_brute,
+    noon_state,
+    optimal_phase_state,
     optimal_state_output,
+    pegg_barnett_vector,
     permutation_unitary,
+    phase_error_summary,
+    povm_distribution,
+    two_mode_phase,
+    validate_closed_forms,
 )
 from interferolab.fock import _check_density, binomial_table
 
@@ -282,6 +295,64 @@ class TestExpectation:
 def test_every_check_rejects_nan(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# every Fock size, photon count and grid size is checked by engine._check_top:
+# (entry point, least accepted value)
+COUNT_CHECKS = {
+    "MmStateSpec-m": (lambda x: MmStateSpec(x, 1), 1),
+    "MmStateSpec-m_prime": (lambda x: MmStateSpec(5, x), 0),
+    "noon_phase_error": (lambda x: noon_phase_error(x, 0.9, 0.1), 1),
+    "permutation_unitary": (permutation_unitary, 1),
+    "loss_channel": (lambda x: loss_channel(0.9, x), 1),
+    "no_state": (no_state, 1),
+    "noon_state": (noon_state, 1),
+    "pegg_barnett_vector": (lambda x: pegg_barnett_vector(x, 0.1), 0),
+    "noon_phase_error_brute": (lambda x: noon_phase_error_brute(x, 0.9, 0.1), 1),
+    "phase_error_summary": (lambda x: phase_error_summary(math.cos, 2.0 * math.pi, x), 2),
+    "mm_observable-m": (lambda x: mm_observable(x, 1), 1),
+    "mm_observable-m_prime": (lambda x: mm_observable(5, x), 0),
+    "optimal_phase_state": (optimal_phase_state, 1),
+    "optimal_state_output": (lambda x: optimal_state_output(x, 0.9, 0.1), 1),
+    "validate_closed_forms": (validate_closed_forms, 1),
+}
+
+
+@pytest.mark.parametrize("make, value", [
+    pytest.param(make, value, id=f"{name}-{value}")
+    for name, (make, least) in COUNT_CHECKS.items()
+    for value in ((2.5, math.nan, 0) if least else (2.5, math.nan))
+])
+def test_every_count_check_is_the_same(make, value):
+    with pytest.raises(ValueError, match="must be an integer, got |must be >= "):
+        make(value)
+
+
+# every phase is checked by engine._check_phase
+PHASE_CHECKS = {
+    "apply_phase": lambda x: apply_phase(basis(2, 0).to_density(), x),
+    "pegg_barnett_vector": lambda x: pegg_barnett_vector(3, x),
+    "RoundTripConfig-phi": lambda x: RoundTripConfig(x, 0.0, 0.9, 0.9),
+    "RoundTripConfig-theta": lambda x: RoundTripConfig(0.1, x, 0.9, 0.9),
+    "optimal_state_output": lambda x: optimal_state_output(3, 0.9, x),
+    "mm_state_output": lambda x: mm_state_output(MmStateSpec(3, 1), 0.9, x),
+    "two_mode_phase": lambda x: two_mode_phase(
+        TwoModeFockVector(np.eye(2) / math.sqrt(2.0)).to_density_flat(), x, (2, 2)),
+    "noon_phase_error": lambda x: noon_phase_error(2, 0.9, x),
+    "noon_phase_error_brute": lambda x: noon_phase_error_brute(2, 0.9, x),
+    "mm_phase_error_closed": lambda x: mm_phase_error_closed(MmErrorTerms(0.5, 0.2, 2), x),
+    "mm_phase_error": lambda x: mm_phase_error(
+        mm_state_output(MmStateSpec(3, 1), 0.9, 0.1), MmStateSpec(3, 1), x),
+    "OutcomeDistribution": lambda x: OutcomeDistribution([0.5, 0.5], x),
+    "povm_distribution": lambda x: povm_distribution(basis(2, 0).to_density(), x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", list(PHASE_CHECKS.values()), ids=list(PHASE_CHECKS))
+def test_every_phase_check_is_the_same(make, value):
+    with pytest.raises(ValueError, match="must be finite$"):
+        make(value)
 
 
 class TestBinomial:

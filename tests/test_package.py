@@ -108,3 +108,32 @@ def test_every_private_top_level_name_is_referenced():
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     assert {(mod, name) for mod, name in defined if name not in referenced} == set(UNREFERENCED)
+
+
+# the rules that every count and every phase share live in one helper each,
+# engine._check_top and engine._check_phase; sweep checks the CLI settings
+# itself, since it must not load the engine to do so
+RULE_HOMES = {"engine", "sweep"}
+RULE_WORDINGS = ("must be >= ", "must be an integer", "must be positive")
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem not in RULE_HOMES))
+def test_every_count_and_phase_rule_is_stated_in_the_engine(module):
+    tree = _tree(module)
+    finite_calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite"
+        and isinstance(node.value, ast.Name) and node.value.id == "math"
+    ]
+    assert finite_calls == [], "math.isfinite outside the engine: use engine._check_phase"
+    worded = [
+        (node.lineno, text.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+        for text in ast.walk(node.exc)
+        if isinstance(text, ast.Constant) and isinstance(text.value, str)
+        and any(w in text.value for w in RULE_WORDINGS)
+    ]
+    assert worded == [], "a count rule outside the engine: use engine._check_top"

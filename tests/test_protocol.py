@@ -711,7 +711,7 @@ class TestValidateClosedForms:
                     runs = [("rho", -1, optimal_phase_state(m), sine_lags)]
                     runs += [("sigma", s.m_prime, mm_state(s), lags) for s, lags in zip(specs, mm_lags)]
                     for form, mp, state, lags in runs:
-                        closed = _output_matrix(lags, phi, False).mat
+                        closed = _output_matrix(lags, phi)
                         diff = np.abs(closed - roundtrip_oracle(state, cfg).mat)
                         worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
                         want.append((form, m, mp, eta, phi, float(diff[worst]).hex(),
