@@ -5,9 +5,9 @@ Every setting is one entry of ``KEYS``: its name is both the flag
 config-file entries, which override the ``SweepConfig`` defaults.
 Exit codes: 0 success, 1 usage error, 2 numerical validation failure,
 3 I/O error.  Rows run in ascending sweep order on the calling thread.
-This module and ``sweep`` use the standard library only, and no
-``dataclasses``, so ``--help``, usage errors and config checks load neither
-numpy nor ``inspect``.
+This module and ``sweep`` use the standard library only, and no module
+loads ``dataclasses``, so ``--help``, usage errors and config checks load
+neither numpy nor ``inspect``.
 
 ``run()`` is the process entry of ``python -m interferolab`` and of the
 ``interferolab`` script: it runs ``main()`` with the collector off and

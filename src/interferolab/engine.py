@@ -11,11 +11,11 @@ dispersion, the propagated error of the two-component observable and the
 shot-noise, Heisenberg and lossy-NOON baselines.  They live here, and
 only here: ``sweep`` loads this module when its first row runs, and
 ``fock``, ``states``, ``protocol`` and ``estimation`` import from it the
-names their own code uses.  It loads no ``dataclasses``: its three value
-types, ``MmStateSpec``, ``MmErrorTerms`` and ``Baselines``, are immutable
-named tuples, and the first two check their fields in ``__new__``, so
-``_replace`` checks them too.  Each kind of argument has one check, here:
-``_check_eta`` (transmissivity), ``_check_top`` (size or count), ``_check_phase``.
+names their own code uses.  No module loads ``dataclasses``: every value type
+is an immutable named tuple, and one that checks its fields in ``__new__``
+takes ``_Checked``, so that ``_replace`` checks them too.  Each kind of argument
+has one check, here: ``_check_eta`` (transmissivity), ``_check_top`` (size or
+count), ``_check_phase``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,17 @@ def _check_phase(phi, name: str = "phi") -> None:
         raise ValueError(f"{name} must be finite")
 
 
-class MmStateSpec(namedtuple("MmStateSpec", "m m_prime")):
+class _Checked:
+    """Mixin of a named tuple checked in ``__new__``: ``_make``, and so ``_replace``, runs it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class MmStateSpec(_Checked, namedtuple("MmStateSpec", "m m_prime")):
     """Parameters of the two-component state (|m> + |m_prime>)/sqrt(2)."""
 
     __slots__ = ()
@@ -83,10 +93,6 @@ class MmStateSpec(namedtuple("MmStateSpec", "m m_prime")):
         if not m > m_prime:
             raise ValueError(f"need m > m_prime >= 0, got ({m}, {m_prime})")
         return super().__new__(cls, m, m_prime)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks too
-        return cls(*iterable)
 
     @property
     def delta(self) -> int:
@@ -249,7 +255,7 @@ def _holevo_dispersion(s: float) -> float:
     return math.sqrt(max(s**-2 - 1.0, 0.0)) if s else math.inf
 
 
-class MmErrorTerms(namedtuple("MmErrorTerms", "mean_square coherence delta")):
+class MmErrorTerms(_Checked, namedtuple("MmErrorTerms", "mean_square coherence delta")):
     """Scalar ingredients of the closed-form error propagation.
 
     ``mean_square`` is the expected square of the hopping observable and
@@ -265,10 +271,6 @@ class MmErrorTerms(namedtuple("MmErrorTerms", "mean_square coherence delta")):
         if not abs(coherence) <= 1.0 + 1e-12:
             raise ValueError("coherence amplitude cannot exceed 1")
         return super().__new__(cls, mean_square, coherence, delta)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks too
-        return cls(*iterable)
 
 
 def _mm_error_terms(spec: MmStateSpec, lags: dict) -> MmErrorTerms:

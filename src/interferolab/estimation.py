@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .engine import (
     _propagated_error,
     baselines,  # unused: bench/layers.py traces it here and bench/verify.py imports it from here
 )
-from .fock import DensityMatrix, expectation, loss_channel
+from .fock import DensityMatrix, _ArrayOwner, expectation, loss_channel
 from .protocol import mm_output_coefficients, optimal_state_output
 from .states import noon_state, two_mode_phase
 
@@ -41,8 +41,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 REFINE_TOL = 1e-6  # phase tolerance of the golden-section refinement
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
+class OutcomeDistribution(_ArrayOwner, namedtuple("OutcomeDistribution", "probs true_phi")):
     """Probabilities of the d discrete phase outcomes, d = probs.size.
 
     Outcome l sits at measurement phase 2*pi*l/d and estimates the
@@ -50,10 +49,9 @@ class OutcomeDistribution:
     ``true_phi`` records the phase actually imprinted on the state.
     """
 
-    probs: np.ndarray
-    true_phi: float
+    __slots__ = ()
 
-    def __init__(self, probs, true_phi: float):
+    def __new__(cls, probs, true_phi: float):
         probs = np.asarray(probs, dtype=float).reshape(-1)
         total = float(probs.sum())
         if not abs(total - 1.0) <= PROB_SUM_TOL:  # written so that NaN fails too
@@ -63,8 +61,7 @@ class OutcomeDistribution:
         _check_phase(true_phi, "true_phi")
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "true_phi", float(true_phi))
+        return super().__new__(cls, probs, float(true_phi))
 
     @property
     def outcome_phases(self) -> np.ndarray:
@@ -184,6 +181,9 @@ def phase_error_summary(error_fn, period: float, grid_points: int = 720):
     everywhere.  Tests and demos check closed-form minima against it.
     """
     _check_top(grid_points, "grid_points", least=2)
+    _check_phase(period, "period")
+    if not period > 0.0:
+        raise ValueError(f"period must be > 0, got {period!r}")
     step = period / grid_points
     xs = step * np.arange(grid_points)
     vals = np.array([float(error_fn(x)) for x in xs])

@@ -6,18 +6,19 @@ of the Kraus reference: the phase shift exp(i*phi*n), the photon-loss
 channel in Kraus form and the Fock-index reversal, a literal d x d
 matrix.  The operators act on density matrices, their array forms on
 stacks of them; everything is a dense numpy array, all containers are
-immutable after construction and every operation is a pure function that
-builds what it returns, with nothing cached.  Every check fails on NaN,
-the engine's checks of each phase, size and transmissivity too.
+immutable named tuples of read-only arrays, compared by identity, and
+every operation is a pure function that builds what it returns, with
+nothing cached.  Every check fails on NaN, the engine's checks of each
+phase, size and transmissivity too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .engine import _check_eta, _check_phase, _check_top, binomial_table
+from .engine import _Checked, _check_eta, _check_phase, _check_top, binomial_table
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
@@ -32,22 +33,30 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """The amplitudes amps as a read-only copy, once checked finite and of unit norm."""
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("non-finite amplitude")
+    nrm2 = float(np.sum(np.abs(amps) ** 2))
+    if not abs(nrm2 - 1.0) <= NORM_TOL:
+        raise ValueError(f"state needs unit norm: |amps|^2 = {nrm2!r}")
+    return _frozen(amps)
+
+
+class _ArrayOwner(_Checked):
+    """Mixin of a checked named tuple of numpy arrays, compared and hashed by identity."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
+class FockVector(_ArrayOwner, namedtuple("FockVector", "amps")):
     """Unit-norm pure state over the Fock basis |0>..|dim-1>."""
 
-    amps: np.ndarray
+    __slots__ = ()
 
-    def __init__(self, amps):
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
-        if amps.size < 1:
-            raise ValueError("state needs at least one amplitude")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("non-finite amplitude")
-        nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if not abs(nrm2 - 1.0) <= NORM_TOL:
-            raise ValueError(f"state needs unit norm: |amps|^2 = {nrm2!r}")
-        object.__setattr__(self, "amps", _frozen(amps))
+    def __new__(cls, amps):
+        return super().__new__(cls, _unit(np.asarray(amps, dtype=complex).reshape(-1)))
 
     @property
     def dim(self) -> int:
@@ -60,8 +69,7 @@ class FockVector:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), check=False)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_ArrayOwner, namedtuple("DensityMatrix", "mat")):
     """Hermitian, unit-trace, positive-semidefinite matrix on the Fock basis.
 
     The eigenvalue (positivity) check is the expensive part; pass
@@ -69,15 +77,15 @@ class DensityMatrix:
     and call :meth:`validate` explicitly where it matters.
     """
 
-    mat: np.ndarray
+    __slots__ = ()
 
-    def __init__(self, mat, check: bool = True):
-        mat = np.asarray(mat, dtype=complex)
+    def __new__(cls, mat, check: bool = True):
+        mat = _frozen(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("density matrix must be square and non-empty")
-        object.__setattr__(self, "mat", _frozen(mat))
         if check:
-            self.validate()
+            _check_density(mat)
+        return super().__new__(cls, mat)
 
     @property
     def dim(self) -> int:
@@ -104,26 +112,27 @@ def _check_density(mats: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
+class KrausChannel(_ArrayOwner, namedtuple("KrausChannel", "kraus")):
     """Completely positive trace-preserving map; ``kraus`` stacks its matrices."""
 
-    kraus: np.ndarray
-    dim: int
+    __slots__ = ()
 
-    def __init__(self, kraus):
+    def __new__(cls, kraus):
         mats = [np.asarray(k) for k in kraus]
         if not mats:
             raise ValueError("channel needs at least one Kraus matrix")
-        d = mats[0].shape[0]
-        if any(k.shape != (d, d) for k in mats):
+        shape = mats[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(k.shape != shape for k in mats):
             raise ValueError("Kraus matrices must share a square shape")
         stack = _frozen(mats)
-        object.__setattr__(self, "kraus", stack)
-        object.__setattr__(self, "dim", d)
-        dev = np.max(np.abs((stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0) - np.eye(d)))
+        dev = np.max(np.abs((stack.conj().swapaxes(1, 2) @ stack).sum(axis=0) - np.eye(shape[0])))
         if not dev <= KRAUS_TOL:
             raise ValueError(f"Kraus completeness violated by {dev:.3e}")
+        return super().__new__(cls, stack)
+
+    @property
+    def dim(self) -> int:
+        return self.kraus.shape[-1]
 
 
 def permutation_unitary(dim: int) -> np.ndarray:

@@ -22,12 +22,13 @@ should apply each phase to one phi = 0 output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .engine import (
     MmStateSpec,
+    _Checked,
     _check_eta,
     _check_phase,
     _check_top,
@@ -48,20 +49,17 @@ from .fock import (
 )
 
 
-@dataclass(frozen=True)
-class RoundTripConfig:
+class RoundTripConfig(_Checked, namedtuple("RoundTripConfig", "phi theta eta1 eta2")):
     """One pass configuration: phases and per-arm transmissivities."""
 
-    phi: float
-    theta: float
-    eta1: float
-    eta2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_phase(self.phi)
-        _check_phase(self.theta, "theta")
-        _check_eta(self.eta1)
-        _check_eta(self.eta2)
+    def __new__(cls, phi: float, theta: float, eta1: float, eta2: float):
+        _check_phase(phi)
+        _check_phase(theta, "theta")
+        _check_eta(eta1)
+        _check_eta(eta2)
+        return super().__new__(cls, phi, theta, eta1, eta2)
 
 
 def _kraus_round_trip(mats, phis, theta: float, loss1, loss2) -> np.ndarray:
@@ -84,7 +82,9 @@ def roundtrip_oracle(state: FockVector, cfg: RoundTripConfig) -> DensityMatrix:
     """Brute-force protocol output after one round trip, checked: no closed forms
     anywhere, the input projector is pushed through phase, loss and permutation
     operations term by term."""
-    return DensityMatrix(roundtrip_step(state.to_density(), cfg).mat, check=True)
+    rho = roundtrip_step(state.to_density(), cfg)
+    _check_density(rho.mat)
+    return rho
 
 
 def _output_matrix(lags, phis) -> np.ndarray:
@@ -129,25 +129,17 @@ def mm_state_output(spec: MmStateSpec, eta: float, phi: float, check: bool = Tru
     return DensityMatrix(_output_matrix(mm_output_coefficients(spec, eta), phi), check=check)
 
 
-@dataclass(frozen=True)
-class ValidationCell:
-    """Worst elementwise deviation for one (form, m, m_prime, eta, phi) cell."""
+class ValidationCell(namedtuple("ValidationCell", "form m m_prime eta phi max_dev worst_element")):
+    """Worst elementwise deviation for one (form, m, m_prime, eta, phi) cell,
+    at the (row, column) ``worst_element``; m_prime is -1 for the sine-state form."""
 
-    form: str
-    m: int
-    m_prime: int  # -1 for the sine-state form
-    eta: float
-    phi: float
-    max_dev: float
-    worst_element: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "cells tolerance")):
     """Validation sweep outcome: production outputs vs the brute-force channel."""
 
-    cells: tuple
-    tolerance: float
+    __slots__ = ()
 
     @property
     def max_dev(self) -> float:

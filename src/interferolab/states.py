@@ -10,12 +10,12 @@ interferometry baseline with independent per-arm loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .engine import MmStateSpec, _check_phase, _check_top, _mm_amplitudes, _sine_amplitudes
-from .fock import NORM_TOL, DensityMatrix, FockVector, KrausChannel, _frozen, loss_channel
+from .fock import DensityMatrix, FockVector, KrausChannel, _ArrayOwner, _unit, loss_channel
 
 
 def optimal_phase_state(m: int) -> FockVector:
@@ -51,22 +51,16 @@ def pegg_barnett_vector(m: int, phi_value: float) -> FockVector:
     return FockVector(np.exp(1j * np.arange(m + 1) * phi_value) / math.sqrt(m + 1))
 
 
-@dataclass(frozen=True, eq=False)
-class TwoModeFockVector:
-    """Normalized pure state on a (d1 x d2) two-mode Fock product basis."""
+class TwoModeFockVector(_ArrayOwner, namedtuple("TwoModeFockVector", "amps")):
+    """Normalized pure state on a (d1 x d2) two-mode Fock product basis, amps[n1, n2]."""
 
-    amps: np.ndarray  # shape (d1, d2), amps[n1, n2]
+    __slots__ = ()
 
-    def __init__(self, amps):
+    def __new__(cls, amps):
         amps = np.asarray(amps, dtype=complex)
         if amps.ndim != 2:
             raise ValueError("two-mode amplitudes must be a 2-D array")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("non-finite amplitude")
-        nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if not abs(nrm2 - 1.0) <= NORM_TOL:
-            raise ValueError(f"state not normalized: |amps|^2 = {nrm2!r}")
-        object.__setattr__(self, "amps", _frozen(amps))
+        return super().__new__(cls, _unit(amps))
 
     @property
     def dims(self) -> tuple:
@@ -99,6 +93,8 @@ def two_mode_phase(rho: DensityMatrix, phi: float, dims: tuple) -> DensityMatrix
     """Phase shift exp(i*phi*n1) on the first arm of a flattened two-mode state."""
     _check_phase(phi)
     d1, d2 = dims
+    _check_top(d1, "d1")
+    _check_top(d2, "d2")
     if rho.dim != d1 * d2:
         raise ValueError("dimension mismatch")
     n1 = np.repeat(np.arange(d1), d2)

@@ -6,9 +6,9 @@ together with the shot-noise, Heisenberg and lossy-NOON reference
 columns (NOON empty at a fractional photon number: no such state exists)
 and an empty slot for comparison data.  Rows are pure functions of the
 configuration, so repeated runs emit byte-identical files.  This module
-needs the standard library only, and no ``dataclasses``: its three value
-types are NamedTuples, and every row figure comes from ``engine``, which
-loads with numpy at the first row.
+needs the standard library only: its three value types are NamedTuples,
+as every value type of the package is a named tuple, and every row figure
+comes from ``engine``, which loads with numpy at the first row.
 """
 
 from __future__ import annotations

@@ -343,9 +343,9 @@ class TestModuleEntryPoint:
         # every CLI run pays for what the import loads (setup_s in bench/), and so
         # does every --help, usage error and config check, which load no numpy, and
         # no dataclasses or inspect: the engine loads at the first row, and a
-        # sweep runs on it alone, still without dataclasses; the Fock containers,
-        # the states and the Kraus oracle with its gate load only for --validate,
-        # the references never
+        # sweep runs on it alone; the Fock containers, the states and the Kraus
+        # oracle with its gate load only for --validate, the references never,
+        # and no run and no public name loads dataclasses
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -365,6 +365,9 @@ class TestModuleEntryPoint:
             "                     '--validate'], 0)):\n"
             "    assert interferolab.cli.main([*args, '--phi-grid', '8', '--out', 'x.csv']) == code\n"
             "    package()\n"
+            "for name in interferolab.__all__:\n"
+            "    getattr(interferolab, name)\n"
+            "assert 'dataclasses' not in sys.modules, 'a public name loads dataclasses'\n"
         )
         env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
         proc = subprocess.run(
@@ -389,9 +392,8 @@ class TestModuleEntryPoint:
         assert package[:3] == [front] * 3
         assert numpy_loaded == [False] * 3 + [True] * 3
         assert inspect_loaded[:3] == [False] * 3  # numpy loads inspect
-        # the engine's value types are named tuples, so a sweep loads no dataclasses;
-        # the Fock containers of --validate do
-        assert dataclasses_loaded == [False] * 5 + [True]
+        # every value type is a named tuple, so no run loads dataclasses
+        assert dataclasses_loaded == [False] * 6
         assert package[3:5] == [engine_only] * 2  # after an optimal and an mm sweep
         assert "interferolab.protocol" in package[5]  # --validate
         assert "interferolab.estimation" not in package[5]

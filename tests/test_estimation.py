@@ -282,6 +282,17 @@ class TestPhaseOptimization:
         with pytest.raises(ValueError, match="non-finite"):
             phase_error_summary(lambda x: math.inf, TWO_PI, 32)
 
+    @pytest.mark.parametrize("period, message", [
+        (0.0, "^period must be > 0, got 0.0$"),
+        (-1.0, "^period must be > 0, got -1.0$"),
+        (math.inf, "^period must be finite$"),
+        (math.nan, "^period must be finite$"),
+    ])
+    def test_rejects_a_period_that_spans_no_phase(self, period, message):
+        # a scan over no phase, or over negative phases, is no period
+        with pytest.raises(ValueError, match=message):
+            phase_error_summary(lambda x: 1.0 + math.sin(x) ** 2, period)
+
 
 class TestBaselines:
     def test_lossless_noon_reaches_heisenberg(self):

@@ -188,6 +188,11 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel([0.5 * np.eye(3)])
 
+    def test_channel_rejects_entries_that_are_not_matrices(self):
+        # the entries of a 1-D array are 0-d: no shape to read a dimension from
+        with pytest.raises(ValueError, match="^Kraus matrices must share a square shape$"):
+            KrausChannel(np.ones(3))
+
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.9, 1.0])
     def test_batched_product_matches_the_kraus_loop(self, eta, random_density):
         from interferolab import two_mode_loss_channel
@@ -297,6 +302,44 @@ def test_every_check_rejects_nan(make, message):
         make()
 
 
+# _replace builds through __new__, so a changed copy is checked as a new value is
+@pytest.mark.parametrize("make, message", [
+    (lambda: basis(2, 0)._replace(amps=[1.0, 1.0]), "^state needs unit norm"),
+    (lambda: TwoModeFockVector(np.eye(2) / math.sqrt(2.0))._replace(amps=np.eye(2)),
+     "^state needs unit norm"),
+    (lambda: basis(2, 0).to_density()._replace(mat=[[0.5, 1.0], [0.0, 0.5]]), "^not Hermitian"),
+    (lambda: loss_channel(0.9, 3)._replace(kraus=[0.5 * np.eye(3)]),
+     "^Kraus completeness violated"),
+    (lambda: OutcomeDistribution([0.5, 0.5], 0.0)._replace(probs=[0.25, 0.25]),
+     "^probabilities sum to 0.5$"),
+    (lambda: RoundTripConfig(0.1, 0.2, 0.9, 0.8)._replace(eta1=1.5),
+     r"^transmissivity must be in \(0, 1\], got 1.5$"),
+], ids=["FockVector", "TwoModeFockVector", "DensityMatrix", "KrausChannel",
+        "OutcomeDistribution", "RoundTripConfig"])
+def test_replace_reruns_the_checks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+ARRAY_OWNERS = {
+    "FockVector": lambda: FockVector([0.6, 0.8]),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
+    "KrausChannel": lambda: KrausChannel([np.eye(2)]),
+    "TwoModeFockVector": lambda: TwoModeFockVector(np.eye(2) / math.sqrt(2.0)),
+    "OutcomeDistribution": lambda: OutcomeDistribution([0.5, 0.5], 0.0),
+}
+
+
+@pytest.mark.parametrize("make", list(ARRAY_OWNERS.values()), ids=list(ARRAY_OWNERS))
+def test_array_owners_compare_and_hash_by_identity(make):
+    # a tuple of arrays compared by value would raise numpy's ambiguous-truth error
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a._replace() != a  # a copy through _replace is another owner
+    assert hash(a) == object.__hash__(a)
+
+
 # every Fock size, photon count and grid size is checked by engine._check_top:
 # (entry point, least accepted value)
 COUNT_CHECKS = {
@@ -315,6 +358,8 @@ COUNT_CHECKS = {
     "optimal_phase_state": (optimal_phase_state, 1),
     "optimal_state_output": (lambda x: optimal_state_output(x, 0.9, 0.1), 1),
     "validate_closed_forms": (validate_closed_forms, 1),
+    "two_mode_phase-d1": (lambda x: two_mode_phase(basis(4, 0).to_density(), 0.1, (x, x)), 1),
+    "two_mode_phase-d2": (lambda x: two_mode_phase(basis(4, 0).to_density(), 0.1, (2, x)), 1),
 }
 
 

@@ -48,6 +48,18 @@ def test_every_name_imported_from_engine_is_used(module):
     assert imported - used == allowed
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    # every value type is a named tuple, so that no run loads dataclasses
+    imported = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "dataclasses" not in imported
+
+
 @pytest.mark.parametrize("home", sorted(interferolab._EXPORTS))
 def test_every_public_name_is_defined_in_its_home(home):
     mod = importlib.import_module(f"interferolab.{home}")

@@ -62,11 +62,16 @@ def small_cfg(tmp_path, **kw):
     (MmStateSpec(4, 1), "m_prime"),
     (MmErrorTerms(0.5, 0.2, 3), "coherence"),
     (engine_mod.Baselines(1.0, 0.5, 0.6), "noon_error"),
-], ids=["config", "curve-point", "summary", "mm-state-spec", "mm-error-terms", "baselines"])
+    (protocol_mod.RoundTripConfig(0.1, 0.2, 0.9, 0.8), "eta2"),
+    (protocol_mod.ValidationCell("rho", 2, -1, 0.9, 0.3, 1e-16, (0, 1)), "max_dev"),
+    (protocol_mod.ValidationReport((), 1e-10), "tolerance"),
+], ids=["config", "curve-point", "summary", "mm-state-spec", "mm-error-terms", "baselines",
+        "round-trip-config", "validation-cell", "validation-report"])
 def test_value_types_are_immutable_and_hashable(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     hash(value)  # raises TypeError on a mutable value
+    assert value == tuple(value)  # a named tuple, compared by value
 
 
 @pytest.mark.parametrize("make, message", [
