@@ -47,7 +47,7 @@ def _parse_bool(raw: str) -> bool:
 # key -> (SweepConfig field or None, slot in its (min, max, step) range or None,
 #         value parser, help text); booleans are store_true flags
 KEYS = {
-    "family": ("state_family", None, str, "input-state family"),
+    "family": ("state_family", None, str, "input-state family: " + " or ".join(FAMILIES)),
     "axis": ("sweep_axis", None, str, "sweep over photon number n or transmissivity eta"),
     "eta": ("fixed_eta", None, float, "fixed transmissivity for axis n"),
     "n": ("fixed_n", None, float, "fixed photon number for axis eta"),
@@ -68,8 +68,6 @@ KEYS = {
     "emit-plot": (None, None, _parse_bool, "write a gnuplot script next to the CSV"),
 }
 
-_CHOICES = {"family": FAMILIES, "axis": ("n", "eta")}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are code 1
@@ -85,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         if parse is _parse_bool:
             p.add_argument(f"--{key}", action="store_true", default=None, help=help_text)
         else:
-            p.add_argument(f"--{key}", type=parse, choices=_CHOICES.get(key), help=help_text)
+            p.add_argument(f"--{key}", type=parse, help=help_text)
     p.add_argument("--config", help="key=value config file (flags win)")
     return p
 
@@ -135,9 +133,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg, emit_plot = resolve_config(args)
-        cfg.check()  # before the plot's name is derived from the CSV's
         out = Path(cfg.output_path)
-        if emit_plot and out.with_suffix(".gp") == out:  # emit_gnu_plot_script's name
+        if emit_plot and out.suffix == ".gp":  # emit_gnu_plot_script's name
             raise UsageError(f"--emit-plot would overwrite the CSV {out} with its script")
         summary = run_sweep(cfg)
         for line in summary.lines():

@@ -122,8 +122,8 @@ class KrausChannel(_ArrayOwner, namedtuple("KrausChannel", "kraus")):
         if not mats:
             raise ValueError("channel needs at least one Kraus matrix")
         shape = mats[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(k.shape != shape for k in mats):
-            raise ValueError("Kraus matrices must share a square shape")
+        if len(shape) != 2 or not shape[0] == shape[1] >= 1 or any(k.shape != shape for k in mats):
+            raise ValueError("Kraus matrices must share a square, non-empty shape")
         stack = _frozen(mats)
         dev = np.max(np.abs((stack.conj().swapaxes(1, 2) @ stack).sum(axis=0) - np.eye(shape[0])))
         if not dev <= KRAUS_TOL:

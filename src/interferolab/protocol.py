@@ -136,10 +136,15 @@ class ValidationCell(namedtuple("ValidationCell", "form m m_prime eta phi max_de
     __slots__ = ()
 
 
-class ValidationReport(namedtuple("ValidationReport", "cells tolerance")):
+class ValidationReport(_Checked, namedtuple("ValidationReport", "cells tolerance")):
     """Validation sweep outcome: production outputs vs the brute-force channel."""
 
     __slots__ = ()
+
+    def __new__(cls, cells, tolerance: float):
+        if not cells:
+            raise ValueError("validation report needs at least one cell")
+        return super().__new__(cls, cells, tolerance)
 
     @property
     def max_dev(self) -> float:

@@ -56,7 +56,8 @@ class SweepConfig(NamedTuple):
     external_comparison_file: str | None = None
     output_path: str = "sweep.csv"
 
-    def check(self) -> None:
+    def check(self) -> list:
+        """Raise UsageError on a bad configuration, else return its (value, n, eta, top) rows."""
         fam, axis = self.state_family, self.sweep_axis
         if fam not in FAMILIES:
             raise UsageError(f"unknown family {fam!r}; choose from {FAMILIES}")
@@ -89,14 +90,14 @@ class SweepConfig(NamedTuple):
             raise UsageError(f"output path {self.output_path!r} names no file")
         if self.mm_m_prime < 0:
             raise UsageError("m-prime must be >= 0")
-        etas = self.values() if axis == "eta" else [self.fixed_eta]
-        for eta in etas:
+        values = self.values()
+        for eta in [self.fixed_eta] if axis == "n" else values:
             if not (0.0 < eta <= 1.0):
                 raise UsageError(f"transmissivity {eta!r} outside (0, 1]")
-        for n in self.values() if axis == "n" else [self.fixed_n]:
-            if n < 1.0:
-                raise UsageError(f"mean photon number {n!r} below 1")
-            self._top_index(n)  # raises UsageError on bad combinations
+        if axis == "n":
+            return [(n, n, self.fixed_eta, self._top_index(n)) for n in values]
+        m = self._top_index(self.fixed_n)
+        return [(eta, self.fixed_n, eta, m) for eta in values]
 
     def _row_count(self) -> int:
         lo, hi, step = self.n_range if self.sweep_axis == "n" else self.eta_range
@@ -109,6 +110,8 @@ class SweepConfig(NamedTuple):
 
     def _top_index(self, n: float) -> int:
         """Largest Fock index of the input for mean photon number n."""
+        if n < 1.0:
+            raise UsageError(f"mean photon number {n!r} below 1")
         fam = self.state_family
         m = 2.0 * n - (self.mm_m_prime if fam == "mm" else 0)
         if not math.isfinite(m):
@@ -178,16 +181,11 @@ class SweepSummary(NamedTuple):
         return out
 
 
-def _compute_row(cfg: SweepConfig, value: float, table_for) -> CurvePoint:
-    """The row at sweep value ``value``; ``table_for(eta)`` gives the loss table
-    of its transmissivity."""
+def _compute_row(cfg: SweepConfig, row: tuple, table_for) -> CurvePoint:
+    """The point of a row of ``cfg.check()``; ``table_for(eta)`` gives eta's loss table."""
     from .engine import MmStateSpec, _check_rows, _mm_row, _optimal_fast_row, baselines
 
-    if cfg.sweep_axis == "n":
-        n, eta = value, cfg.fixed_eta
-    else:
-        n, eta = cfg.fixed_n, value
-    m = cfg._top_index(n)
+    value, n, eta, m = row
     where = f"sweep={format_float(value)} (top index {m})"
     try:
         _check_rows(m + 1)  # past the binomial limit, fail before building anything
@@ -233,12 +231,11 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     anything is written and its values fill the ``external`` column.
     """
     started = time.monotonic()
-    cfg.check()
-    values = cfg.values()
+    rows = cfg.check()
     comp_path = cfg.external_comparison_file
     external = _read_comparison(comp_path) if comp_path else {}
 
-    top = max(map(cfg._top_index, values if cfg.sweep_axis == "n" else [cfg.fixed_n]))
+    top = max(m for *_, m in rows)
     report = None
     report_paths = ()
     if cfg.validate:
@@ -260,16 +257,15 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     from .engine import _loss_tables  # numpy and the row figures load here
 
     table_for = _loss_tables(top)
-    rows = [_compute_row(cfg, v, table_for) for v in values]
-    rows, unmatched = _with_external(rows, external)
+    points, unmatched = _with_external([_compute_row(cfg, r, table_for) for r in rows], external)
 
-    lines = [CSV_HEADER] + [r.csv_row() for r in rows]
+    lines = [CSV_HEADER] + [p.csv_row() for p in points]
     with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
     return SweepSummary(
         csv_path=cfg.output_path,
-        rows=tuple(rows),
+        rows=tuple(points),
         elapsed=time.monotonic() - started,
         validation=report,
         validation_paths=report_paths,

@@ -12,7 +12,7 @@ import pytest
 import interferolab.cli as cli_mod
 import interferolab.sweep as sweep_mod
 from interferolab.cli import KEYS, build_parser, load_config_file, main, resolve_config
-from interferolab.sweep import UsageError
+from interferolab.sweep import SweepConfig, UsageError
 
 
 def run(args):
@@ -79,9 +79,9 @@ class TestExitCodes:
         assert code == 2
         assert "validation failure" in capsys.readouterr().err
 
-    # binomials of 1030 and above overflow double
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # binomials of 1030 and above overflow double; the row fails on its top
+    # index before any array is built, so numpy warns of nothing
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("family, n, top", [("optimal", 515, 1030), ("mm", 520, 1037)])
     def test_non_finite_row_is_a_validation_failure(self, family, n, top, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -152,20 +152,22 @@ class TestExitCodes:
         (["--m-prime", "-1"], b"", "m-prime must be >= 0"),
         (["--n-min", "0.5"], b"", "mean photon number 0.5 below 1"),
         (["--n-min", "2.25"], b"", "photon number 2.25 gives non-integer top Fock index 4.5"),
-        ([], b"axis=diagonal\n", "unknown axis 'diagonal'"),  # argparse's choices skip files
+        (["--axis", "diagonal"], b"", "unknown axis 'diagonal'; choose n or eta"),
+        ([], b"axis=diagonal\n", "unknown axis 'diagonal'; choose n or eta"),
         ([], b"\xef\xbb\xbfaxis=diagonal\n", "unknown axis 'diagonal'"),  # not key '\ufeffaxis'
         ([], b"family=mm\nn-min=\xff\n", "run.conf:2: byte 16 (0xff) is not UTF-8"),
         ([], b"\xef\xbb\xbfn-min=\xff\n", "run.conf:1: byte 9 (0xff) is not UTF-8"),
-        # the retired M&M state at m_prime = 0 is --family mm --m-prime 0
-        (["--family", "no"], b"", "invalid choice: 'no'"),
-        ([], b"family=no\n", "unknown family 'no'"),
+        # the retired M&M state at m_prime = 0 is --family mm --m-prime 0; a
+        # flag and a file line are refused by the one rule, with one message
+        (["--family", "no"], b"", "unknown family 'no'; choose from ('optimal', 'mm')"),
+        ([], b"family=no\n", "unknown family 'no'; choose from ('optimal', 'mm')"),
         # every family prints the three reference columns a noon row printed
-        (["--family", "noon"], b"", "invalid choice: 'noon'"),
-        ([], b"family=noon\n", "unknown family 'noon'"),
-    ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-file",
-            "axis-after-byte-order-mark", "undecodable-byte", "undecodable-after-byte-order-mark",
-            "retired-no-family", "retired-no-family-from-file", "retired-noon-family",
-            "retired-noon-family-from-file"])
+        (["--family", "noon"], b"", "unknown family 'noon'; choose from ('optimal', 'mm')"),
+        ([], b"family=noon\n", "unknown family 'noon'; choose from ('optimal', 'mm')"),
+    ], ids=["phi-grid-1", "negative-m-prime", "n-below-1", "half-top-index", "axis-from-flag",
+            "axis-from-file", "axis-after-byte-order-mark", "undecodable-byte",
+            "undecodable-after-byte-order-mark", "retired-no-family", "retired-no-family-from-file",
+            "retired-noon-family", "retired-noon-family-from-file"])
     def test_usage_error_from_out_of_range_setting(self, argv, conf, message, tmp_path, capsys):
         conf_path = tmp_path / "run.conf"
         conf_path.write_bytes(conf)
@@ -173,6 +175,28 @@ class TestExitCodes:
         assert run([*argv, "--config", str(conf_path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOnePass:
+    # a run checks its configuration once, which lists the sweep values once and
+    # works out each row's top index once; the rows of the eta axis share theirs
+    @pytest.mark.parametrize("argv, rows, tops", [
+        (["--n-min", "2", "--n-max", "5"], 4, 4),
+        (["--axis", "eta", "--n", "3", "--eta-min", "0.5", "--eta-max", "0.8",
+          "--eta-step", "0.1"], 4, 1),
+    ], ids=["n", "eta"])
+    def test_run_resolves_each_row_once(self, argv, rows, tops, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("check", "values", "_top_index"):
+            def counted(cfg, *args, name=name, method=getattr(SweepConfig, name)):
+                calls.append(name)
+                return method(cfg, *args)
+
+            monkeypatch.setattr(SweepConfig, name, counted)
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--phi-grid", "8", "--out", str(out), "--emit-plot"]) == 0
+        assert f"wrote {rows} rows" in capsys.readouterr().out
+        assert [calls.count(name) for name in ("check", "values", "_top_index")] == [1, 1, tops]
 
 
 class TestConfigResolution:
@@ -547,6 +571,9 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         flags = set(re.findall(r"--[a-z-]+", proc.stdout))
         assert {f"--{key}" for key in KEYS} | {"--config"} <= flags
+        # --family names every family that check() accepts
+        family_help = proc.stdout.rpartition("--family FAMILY")[2].partition("--axis")[0]
+        assert set(sweep_mod.FAMILIES) <= set(re.findall(r"\w+", family_help))
 
     def test_small_sweep_writes_csv(self, tmp_path):
         proc = self.run_module(["--n-min", "2", "--n-max", "3", "--phi-grid", "90"], tmp_path)

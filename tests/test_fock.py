@@ -190,8 +190,13 @@ class TestApplyChannel:
 
     def test_channel_rejects_entries_that_are_not_matrices(self):
         # the entries of a 1-D array are 0-d: no shape to read a dimension from
-        with pytest.raises(ValueError, match="^Kraus matrices must share a square shape$"):
+        with pytest.raises(ValueError, match="^Kraus matrices must share a square, non-empty shape$"):
             KrausChannel(np.ones(3))
+
+    def test_channel_rejects_an_empty_matrix(self):
+        # a 0 x 0 matrix is square, but has no completeness to check
+        with pytest.raises(ValueError, match="^Kraus matrices must share a square, non-empty shape$"):
+            KrausChannel([np.zeros((0, 0))])
 
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.9, 1.0])
     def test_batched_product_matches_the_kraus_loop(self, eta, random_density):

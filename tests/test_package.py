@@ -149,3 +149,18 @@ def test_every_count_and_phase_rule_is_stated_in_the_engine(module):
         and any(w in text.value for w in RULE_WORDINGS)
     ]
     assert worded == [], "a count rule outside the engine: use engine._check_top"
+
+
+def test_only_sweep_config_reads_the_axis_or_a_top_index():
+    # SweepConfig.check resolves every row to (sweep value, n, eta, top index),
+    # so no other code branches on the axis or works out a top index
+    readers = []
+    for path in SRC.glob("*.py"):
+        tree = _tree(path.stem)
+        inside = {id(node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "SweepConfig"
+                  for node in ast.walk(cls)}
+        readers += [(path.stem, node.lineno, node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and id(node) not in inside
+                    and node.attr in ("sweep_axis", "_top_index")]
+    assert readers == []

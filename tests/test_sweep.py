@@ -64,7 +64,8 @@ def small_cfg(tmp_path, **kw):
     (engine_mod.Baselines(1.0, 0.5, 0.6), "noon_error"),
     (protocol_mod.RoundTripConfig(0.1, 0.2, 0.9, 0.8), "eta2"),
     (protocol_mod.ValidationCell("rho", 2, -1, 0.9, 0.3, 1e-16, (0, 1)), "max_dev"),
-    (protocol_mod.ValidationReport((), 1e-10), "tolerance"),
+    (protocol_mod.ValidationReport(
+        (protocol_mod.ValidationCell("rho", 2, -1, 0.9, 0.3, 1e-16, (0, 1)),), 1e-10), "tolerance"),
 ], ids=["config", "curve-point", "summary", "mm-state-spec", "mm-error-terms", "baselines",
         "round-trip-config", "validation-cell", "validation-report"])
 def test_value_types_are_immutable_and_hashable(value, field):
@@ -84,6 +85,15 @@ def test_value_types_are_immutable_and_hashable(value, field):
 def test_replace_checks_the_engine_value_types(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_validation_report_refuses_no_cells():
+    # its worst cell, max_dev and status all need one
+    cell = protocol_mod.ValidationCell("rho", 2, -1, 0.9, 0.3, 1e-16, (0, 1))
+    with pytest.raises(ValueError, match="^validation report needs at least one cell$"):
+        protocol_mod.ValidationReport((), 1e-10)
+    with pytest.raises(ValueError, match="^validation report needs at least one cell$"):
+        protocol_mod.ValidationReport((cell,), 1e-10)._replace(cells=())
 
 
 class TestConfigValidation:
@@ -421,9 +431,9 @@ class TestRunSweep:
         compute_row = sweep_mod._compute_row
         calls = []
 
-        def recording_row(cfg, value, table_for):
-            calls.append((threading.get_ident(), value))
-            return compute_row(cfg, value, table_for)
+        def recording_row(cfg, row, table_for):
+            calls.append((threading.get_ident(), row[0]))
+            return compute_row(cfg, row, table_for)
 
         monkeypatch.setattr(sweep_mod, "_compute_row", recording_row)
         monkeypatch.delenv("INTERF_THREADS", raising=False)
